@@ -2,8 +2,7 @@
 // under staggered traffic, driven to >= 1M flow arrivals with the memory
 // model an open-ended run requires — recycled flow ids, no completion
 // records, a self-scheduling arrival process (one pending arrival event at
-// any time), lazily materialized paths behind the bounded LRU, and the
-// sharded-parallel max-min solve.
+// any time), and lazily materialized paths behind the bounded LRU.
 //
 // Emits a google-benchmark-shaped JSON report (BENCH_hyperscale.json) so
 // bench/check_bench_regression.py gates it like any other bench, with
@@ -42,7 +41,6 @@ struct Options {
   Seconds mean_interarrival = 1.0;  // per host (aggregate rate = hosts/mean)
   Bytes flow_size = 12'500'000;     // 0.1 s at host line rate (1 Gbps)
   Seconds realloc_interval = 0.02;
-  unsigned realloc_threads = 0;
   std::uint64_t seed = 1;
   double warmup_fraction = 0.1;  // RSS reference point, as arrival fraction
   bool assert_flat_rss = false;
@@ -54,7 +52,7 @@ void usage(const char* argv0) {
       stderr,
       "usage: %s [--k=N] [--arrivals=N] [--scheduler=ecmp|dard]\n"
       "          [--mean-interarrival=S] [--flow-size-bytes=N]\n"
-      "          [--realloc-interval=S] [--realloc-threads=T] [--seed=N]\n"
+      "          [--realloc-interval=S] [--seed=N]\n"
       "          [--warmup-fraction=F] [--assert-flat-rss] [--out=PATH]\n",
       argv0);
 }
@@ -111,8 +109,6 @@ int main(int argc, char** argv) {
       opt.flow_size = std::strtoull(v, nullptr, 10);
     } else if (parse_flag(argv[i], "--realloc-interval", &v)) {
       opt.realloc_interval = std::atof(v);
-    } else if (parse_flag(argv[i], "--realloc-threads", &v)) {
-      opt.realloc_threads = static_cast<unsigned>(std::atoi(v));
     } else if (parse_flag(argv[i], "--seed", &v)) {
       opt.seed = std::strtoull(v, nullptr, 10);
     } else if (parse_flag(argv[i], "--warmup-fraction", &v)) {
@@ -139,7 +135,6 @@ int main(int argc, char** argv) {
 
   flowsim::SimConfig cfg;
   cfg.realloc_interval = opt.realloc_interval;
-  cfg.realloc_threads = opt.realloc_threads;
   cfg.recycle_flow_ids = true;
   cfg.keep_records = false;
   flowsim::FlowSimulator sim(topo, cfg);
@@ -211,14 +206,14 @@ int main(int argc, char** argv) {
   const Seconds sim_s = sim.now();
 
   std::printf(
-      "bench_hyperscale: k=%d scheduler=%s threads=%u\n"
+      "bench_hyperscale: k=%d scheduler=%s\n"
       "  arrivals            %llu (all finished)\n"
       "  simulated time      %.1f s\n"
       "  wall clock          %.1f s (%.0f arrivals/s)\n"
       "  peak concurrency    %zu flows (%zu flow slots allocated)\n"
       "  avg transfer time   %.4f s\n"
       "  RSS warmup -> end   %.1f MiB -> %.1f MiB\n",
-      opt.k, opt.scheduler.c_str(), opt.realloc_threads,
+      opt.k, opt.scheduler.c_str(),
       static_cast<unsigned long long>(submitted), sim_s, wall_s,
       static_cast<double>(submitted) / wall_s, stats.peak_live(),
       stats.tracked_slots(), stats.transfer().mean(), rss_warmup / kMiB,
@@ -233,7 +228,7 @@ int main(int argc, char** argv) {
       f,
       "{\n"
       "  \"context\": {\"executable\": \"bench_hyperscale\", \"k\": %d,\n"
-      "    \"scheduler\": \"%s\", \"realloc_threads\": %u, \"seed\": %llu},\n"
+      "    \"scheduler\": \"%s\", \"seed\": %llu},\n"
       "  \"benchmarks\": [\n"
       "    {\n"
       "      \"name\": \"BM_Hyperscale/k=%d\",\n"
@@ -252,7 +247,7 @@ int main(int argc, char** argv) {
       "    }\n"
       "  ]\n"
       "}\n",
-      opt.k, opt.scheduler.c_str(), opt.realloc_threads,
+      opt.k, opt.scheduler.c_str(),
       static_cast<unsigned long long>(opt.seed), opt.k, wall_s * 1e3,
       wall_s * 1e3, static_cast<unsigned long long>(submitted), sim_s,
       static_cast<double>(submitted) / wall_s, stats.peak_live(),

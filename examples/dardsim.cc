@@ -118,11 +118,6 @@ void print_usage(std::FILE* out) {
                "(default 1,\n"
                "                       0 = all cores; results are identical "
                "for any J)\n"
-               "  --realloc-threads=T  worker threads for the sharded "
-               "max-min solve\n"
-               "                       (default 1 = serial; results are "
-               "bit-identical\n"
-               "                       for any T; fluid substrate only)\n"
                "\n"
                "asymmetric-fabric options (fattree and leafspine):\n"
                "  --weighted           capacity-aware path choice for any "
@@ -198,7 +193,7 @@ void print_usage(std::FILE* out) {
                "arrive/elephant/move/complete,\n"
                "                       DARD round decisions)\n"
                "  --metrics=FILE       write the metrics registry "
-               "(counters/gauges/latencies) as CSV\n"
+               "(counters/gauges) as CSV\n"
                "  --samples=FILE       write sampled per-link utilization as "
                "CSV\n"
                "  --agg-samples=FILE   write sampled aggregate counters "
@@ -245,7 +240,6 @@ struct Options {
   std::uint64_t seed = 1;
   unsigned replicas = 1;
   unsigned jobs = 1;
-  unsigned realloc_threads = 1;
   // Asymmetric-fabric axes; defaults build the classic symmetric fabrics.
   bool weighted = false;
   double oversub = 0.0;     // 0 = 1:1 (full uplinks)
@@ -339,14 +333,6 @@ bool parse(int argc, char** argv, Options* opt) {
         return false;
       }
       opt->jobs = static_cast<unsigned>(n);
-    } else if (const char* v = value("--realloc-threads=")) {
-      if (!parse_long(v, &n) || n < 1) {
-        std::fprintf(
-            stderr,
-            "invalid --realloc-threads: %s (valid: an integer >= 1)\n", v);
-        return false;
-      }
-      opt->realloc_threads = static_cast<unsigned>(n);
     } else if (const char* v = value("--oversub=")) {
       if (!parse_double(v, &opt->oversub) || opt->oversub < 1) {
         std::fprintf(stderr,
@@ -560,7 +546,6 @@ int main(int argc, char** argv) {
   }
 
   harness::ExperimentConfig cfg;
-  cfg.realloc_threads = opt.realloc_threads;
   if (opt.pattern == "random") {
     cfg.workload.pattern.kind = traffic::PatternKind::Random;
   } else if (opt.pattern == "staggered") {

@@ -69,6 +69,9 @@ class PooledLists {
     DCN_CHECK_MSG(false, "value not in pooled list");
   }
 
+  // Empties list `k`, keeping its block for the next pushes.
+  void clear(std::size_t k) { lists_[k].size = 0; }
+
   // Arena footprint in slots (live + recycled blocks), for memory gauges.
   [[nodiscard]] std::size_t pool_slots() const { return pool_.size(); }
 

@@ -1,8 +1,8 @@
 // Minimal shared fork-join thread pool.
 //
-// One pool serves both coarse parallelism (the harness running independent
-// experiment cells) and fine parallelism (the max-min allocator solving
-// independent dirty components). The only primitive is run_indexed(): run
+// Serves the harness running independent experiment cells
+// (run_experiments_parallel: sweep benches, dardsim --jobs). The simulators
+// themselves are single-threaded. The only primitive is run_indexed(): run
 // fn(i) for every i in [0, n), caller participates, returns when all n are
 // done. Work is distributed by an atomic ticket, so uneven item costs
 // balance automatically. There is no task queue and no futures — callers

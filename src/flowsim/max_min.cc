@@ -11,10 +11,6 @@ MaxMinAllocator::MaxMinAllocator(const topo::Topology& t,
                                  const fabric::LinkStateBoard* board)
     : topo_(&t),
       board_(board),
-      remaining_(t.link_count(), 0.0),
-      unfrozen_(t.link_count(), 0),
-      flows_on_(t.link_count()),
-      saturated_(t.link_count(), false),
       inc_flows_on_(t.link_count()),
       dirty_link_mark_(t.link_count(), 0),
       link_visit_(t.link_count(), 0),
@@ -22,84 +18,45 @@ MaxMinAllocator::MaxMinAllocator(const topo::Topology& t,
       inc_unfrozen_(t.link_count(), 0),
       inc_saturated_(t.link_count(), 0) {}
 
-template <class PathAt>
-const std::vector<Bps>& MaxMinAllocator::compute_impl(std::size_t flow_count,
-                                                      PathAt&& path_at) {
-  // Reset only what the previous run touched.
-  for (const LinkId l : used_links_) {
-    flows_on_[l.value()].clear();
-    unfrozen_[l.value()] = 0;
-    saturated_[l.value()] = false;
-  }
-  used_links_.clear();
+void MaxMinAllocator::begin_one_shot() {
+  DCN_CHECK_MSG(store_ == nullptr || store_ == &one_shot_paths_,
+                "compute() on an allocator attached to a PathStore");
+  store_ = &one_shot_paths_;
+  // The previous call ended in a full recompute, so comp_links_ still holds
+  // exactly the links whose flow lists it filled.
+  for (const auto lv : comp_links_) inc_flows_on_.clear(lv);
+  for (const std::uint32_t fid : members_) in_system_[fid] = 0;
+  members_.clear();
+  one_shot_paths_.clear();
+  inc_ready_ = false;  // every one-shot solve is a full pass
+}
 
-  rate_.assign(flow_count, 0.0);
-  frozen_.assign(flow_count, false);
-  if (flow_count == 0) return rate_;
-
-  for (std::size_t f = 0; f < flow_count; ++f) {
-    DCN_CHECK_MSG(!path_at(f).empty(), "flow with empty path");
-    for (const LinkId l : path_at(f)) {
-      if (flows_on_[l.value()].empty()) {
-        used_links_.push_back(l);
-        remaining_[l.value()] = capacity_of(l);
-      }
-      flows_on_[l.value()].push_back(static_cast<std::uint32_t>(f));
-      ++unfrozen_[l.value()];
-    }
-  }
-
-  // Lazy-deletion min-heap over link fair shares. Freezing flows only
-  // *raises* the fair share of the remaining links (the frozen rate is at
-  // most the link's current share), so a popped entry whose recomputed
-  // share grew is simply re-pushed — monotonicity makes this sound.
-  using Entry = std::pair<double, LinkId::value_type>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  auto share_of = [&](LinkId::value_type lv) {
-    return remaining_[lv] / static_cast<double>(unfrozen_[lv]);
-  };
-  for (const LinkId l : used_links_)
-    heap.emplace(share_of(l.value()), l.value());
-
-  std::size_t frozen_count = 0;
-  while (frozen_count < flow_count) {
-    DCN_CHECK_MSG(!heap.empty(), "no bottleneck but unfrozen flows remain");
-    const auto [key, lv] = heap.top();
-    heap.pop();
-    if (saturated_[lv] || unfrozen_[lv] == 0) continue;
-    const double actual = share_of(lv);
-    if (actual > key * (1 + 1e-12) + 1e-9) {
-      heap.emplace(actual, lv);
-      continue;
-    }
-    const double share = std::max(actual, 0.0);
-
-    for (const std::uint32_t f : flows_on_[lv]) {
-      if (frozen_[f]) continue;
-      frozen_[f] = true;
-      ++frozen_count;
-      rate_[f] = share;
-      for (const LinkId l : path_at(f)) {
-        remaining_[l.value()] -= share;
-        --unfrozen_[l.value()];
-      }
-    }
-    saturated_[lv] = true;
-  }
-  return rate_;
+const std::vector<Bps>& MaxMinAllocator::finish_one_shot() {
+  recompute();
+  one_shot_rates_.assign(inc_rate_.begin(),
+                         inc_rate_.begin() + static_cast<std::ptrdiff_t>(
+                                                 members_.size()));
+  return one_shot_rates_;
 }
 
 const std::vector<Bps>& MaxMinAllocator::compute(
     const std::vector<const std::vector<LinkId>*>& links_of) {
-  return compute_impl(links_of.size(), [&](std::size_t f) -> const auto& {
-    return *links_of[f];
-  });
+  begin_one_shot();
+  for (std::uint32_t f = 0; f < links_of.size(); ++f) {
+    one_shot_paths_.set(f, *links_of[f]);
+    add_flow(f);
+  }
+  return finish_one_shot();
 }
 
 const std::vector<Bps>& MaxMinAllocator::compute_spans(
     const std::vector<std::span<const LinkId>>& links_of) {
-  return compute_impl(links_of.size(),
-                      [&](std::size_t f) { return links_of[f]; });
+  begin_one_shot();
+  for (std::uint32_t f = 0; f < links_of.size(); ++f) {
+    one_shot_paths_.set(f, links_of[f]);
+    add_flow(f);
+  }
+  return finish_one_shot();
 }
 
 void MaxMinAllocator::ensure_fid(std::uint32_t fid) {
@@ -205,13 +162,8 @@ void MaxMinAllocator::collect_everything() {
   }
 }
 
-// One shard's progressive filling. Serial solves pass the whole scope.
-// Shards touch disjoint flows and links (they are distinct connected
-// components of the sharing graph), so concurrent calls write disjoint
-// entries of the shared per-flow / per-link arrays, and the heap ordering
-// within a shard — including the (share, link id) tie-break — is exactly
-// what the serial global heap would have produced for those links: rates
-// come out bit-identical either way.
+// Progressive filling: repeatedly saturate the link with the smallest fair
+// share and freeze its unfrozen flows at that share.
 void MaxMinAllocator::water_fill_range(
     std::span<const std::uint32_t> flows,
     std::span<const LinkId::value_type> links) {
@@ -222,6 +174,10 @@ void MaxMinAllocator::water_fill_range(
     inc_saturated_[lv] = 0;
   }
 
+  // Lazy-deletion min-heap over link fair shares. Freezing flows only
+  // *raises* the fair share of the remaining links (the frozen rate is at
+  // most the link's current share), so a popped entry whose recomputed
+  // share grew is simply re-pushed — monotonicity makes this sound.
   using Entry = std::pair<double, LinkId::value_type>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
   auto share_of = [&](LinkId::value_type lv) {
@@ -257,92 +213,6 @@ void MaxMinAllocator::water_fill_range(
   }
 }
 
-bool MaxMinAllocator::parallel_water_fill() {
-  last_shards_ = 0;
-  if (pool_ == nullptr || pool_->size() < 2 ||
-      comp_flows_.size() < min_parallel_flows_)
-    return false;
-
-  const std::size_t n = comp_flows_.size();
-  flow_local_.resize(in_system_.size());
-  for (std::size_t i = 0; i < n; ++i)
-    flow_local_[comp_flows_[i]] = static_cast<std::uint32_t>(i);
-
-  // Union-find (path halving) over local indices: flows sharing a link
-  // land in one set.
-  uf_parent_.resize(n);
-  for (std::size_t i = 0; i < n; ++i)
-    uf_parent_[i] = static_cast<std::uint32_t>(i);
-  auto find = [&](std::uint32_t x) {
-    while (uf_parent_[x] != x) {
-      uf_parent_[x] = uf_parent_[uf_parent_[x]];
-      x = uf_parent_[x];
-    }
-    return x;
-  };
-  for (const auto lv : comp_links_) {
-    const auto items = inc_flows_on_.items(lv);
-    if (items.empty()) continue;
-    const std::uint32_t a = find(flow_local_[items[0]]);
-    for (std::size_t i = 1; i < items.size(); ++i) {
-      const std::uint32_t b = find(flow_local_[items[i]]);
-      if (a != b) uf_parent_[b] = a;
-    }
-  }
-
-  // Shard ids in first-encounter (comp_flows_) order — deterministic.
-  constexpr std::uint32_t kNoShard = 0xffffffffu;
-  root_shard_.assign(n, kNoShard);
-  std::uint32_t shards = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t r = find(static_cast<std::uint32_t>(i));
-    if (root_shard_[r] == kNoShard) root_shard_[r] = shards++;
-  }
-  if (shards < 2) return false;
-
-  // Bucket flows and links by shard, preserving relative order (a stable
-  // counting sort), then fill every shard concurrently.
-  shard_flow_begin_.assign(shards + 1, 0);
-  for (std::size_t i = 0; i < n; ++i)
-    ++shard_flow_begin_[root_shard_[find(static_cast<std::uint32_t>(i))] + 1];
-  for (std::uint32_t s = 0; s < shards; ++s)
-    shard_flow_begin_[s + 1] += shard_flow_begin_[s];
-  shard_flows_.resize(n);
-  {
-    std::vector<std::uint32_t> cursor(shard_flow_begin_.begin(),
-                                      shard_flow_begin_.end() - 1);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t s = root_shard_[find(static_cast<std::uint32_t>(i))];
-      shard_flows_[cursor[s]++] = comp_flows_[i];
-    }
-  }
-  shard_link_begin_.assign(shards + 1, 0);
-  auto shard_of_link = [&](LinkId::value_type lv) {
-    return root_shard_[find(flow_local_[inc_flows_on_.items(lv)[0]])];
-  };
-  for (const auto lv : comp_links_) ++shard_link_begin_[shard_of_link(lv) + 1];
-  for (std::uint32_t s = 0; s < shards; ++s)
-    shard_link_begin_[s + 1] += shard_link_begin_[s];
-  shard_links_.resize(comp_links_.size());
-  {
-    std::vector<std::uint32_t> cursor(shard_link_begin_.begin(),
-                                      shard_link_begin_.end() - 1);
-    for (const auto lv : comp_links_) shard_links_[cursor[shard_of_link(lv)]++] = lv;
-  }
-
-  last_shards_ = shards;
-  pool_->run_indexed(shards, [this](std::size_t s) {
-    water_fill_range(
-        std::span<const std::uint32_t>(shard_flows_)
-            .subspan(shard_flow_begin_[s],
-                     shard_flow_begin_[s + 1] - shard_flow_begin_[s]),
-        std::span<const LinkId::value_type>(shard_links_)
-            .subspan(shard_link_begin_[s],
-                     shard_link_begin_[s + 1] - shard_link_begin_[s]));
-  });
-  return true;
-}
-
 const std::vector<std::uint32_t>& MaxMinAllocator::recompute() {
   DCN_CHECK_MSG(store_ != nullptr, "recompute before attach");
   ++visit_stamp_;
@@ -372,7 +242,7 @@ const std::vector<std::uint32_t>& MaxMinAllocator::recompute() {
   ++dirty_stamp_;
 
   ++frozen_stamp_;
-  if (!parallel_water_fill()) water_fill_range(comp_flows_, comp_links_);
+  water_fill_range(comp_flows_, comp_links_);
   return comp_flows_;
 }
 

@@ -6,10 +6,7 @@
 // (remaining capacity / unfrozen flows) and freeze its flows at that share.
 // The result is the unique max-min allocation.
 //
-// Two interfaces share the water-filling core:
-//
-//  * compute(): one-shot allocation over an explicit flow list (tests,
-//    benches, the congestion-game analysis).
+// One water-filling kernel, two interfaces:
 //
 //  * incremental: the simulator registers flows (add_flow / remove_flow /
 //    touch_link, paths read through a PathStore) and recompute() re-solves
@@ -19,6 +16,14 @@
 //    outside the component are provably unchanged and stay frozen. When the
 //    component covers most of the system (or on the first call) it falls
 //    back to a full recompute. See DESIGN.md "Performance".
+//
+//  * compute(): one-shot allocation over an explicit flow list (tests,
+//    benches, the simulator's validate mode) — a thin wrapper over the
+//    same kernel: it drops the previous call's registrations, registers
+//    flow i as fid i in an allocator-owned PathStore and runs one full
+//    recompute(). The heap pops links by (share, link id) and per-link
+//    lists keep registration order, so the freeze order, and every rate
+//    bit for bit, depends only on the input list, never on earlier calls.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +31,6 @@
 #include <vector>
 
 #include "common/arena.h"
-#include "common/thread_pool.h"
 #include "common/types.h"
 #include "common/units.h"
 #include "fabric/switch_state.h"
@@ -44,7 +48,8 @@ class MaxMinAllocator {
 
   // --- one-shot interface ---
   // Max-min rates for flows whose paths are `links_of` (parallel output).
-  // Every path must be non-empty. Independent of the incremental state.
+  // Every path must be non-empty. Owns the allocator's registrations: do
+  // not mix with attach() on the same allocator.
   const std::vector<Bps>& compute(
       const std::vector<const std::vector<LinkId>*>& links_of);
   const std::vector<Bps>& compute_spans(
@@ -68,24 +73,6 @@ class MaxMinAllocator {
   // Forces every recompute() to take the full path (A/B benching, debug).
   void set_full_only(bool v) { full_only_ = v; }
 
-  // Opt-in sharded-parallel solving: with a pool installed, water-filling
-  // splits the collected scope into its connected components (union-find
-  // over the link-sharing graph) and solves them concurrently whenever the
-  // scope holds at least `min_parallel_flows` flows. Components are
-  // independent by definition of max-min, shards write disjoint per-flow /
-  // per-link state, and the within-component freeze order is untouched, so
-  // rates are bit-identical to the serial solve and recompute()'s returned
-  // order is unchanged (pinned by tests/lazy_paths_test.cc). Null disables
-  // (the default).
-  void set_parallel(common::ThreadPool* pool,
-                    std::size_t min_parallel_flows = 1024) {
-    pool_ = pool;
-    min_parallel_flows_ = min_parallel_flows;
-  }
-
-  // Shards solved concurrently by the last recompute (0 = serial).
-  [[nodiscard]] std::size_t last_shard_count() const { return last_shards_; }
-
   // Re-solves the dirty component (or everything, on fallback) and returns
   // the flows whose rate may have changed. Rates of returned flows are
   // read back through rate_of(); all other registered flows kept their
@@ -105,9 +92,10 @@ class MaxMinAllocator {
     return board_ != nullptr ? board_->capacity(l) : topo_->link(l).capacity;
   }
 
-  template <class PathAt>
-  const std::vector<Bps>& compute_impl(std::size_t flow_count,
-                                       PathAt&& path_at);
+  // compute() plumbing: unregister the previous call's flows in O(links
+  // touched), then (after registration) solve and copy the rates out.
+  void begin_one_shot();
+  const std::vector<Bps>& finish_one_shot();
 
   void ensure_fid(std::uint32_t fid);
   void mark_dirty_flow(std::uint32_t fid);
@@ -116,26 +104,16 @@ class MaxMinAllocator {
   // (caller then takes the full path).
   bool collect_component(std::size_t limit);
   void collect_everything();
-  // Progressive filling over one shard's flows/links into inc_rate_.
-  // Serial solves pass the whole comp_flows_ / comp_links_ scope.
+  // Progressive filling over the collected scope into inc_rate_.
   void water_fill_range(std::span<const std::uint32_t> flows,
                         std::span<const LinkId::value_type> links);
-  // Splits the scope into connected components and fills them on pool_.
-  // False when sharding is off, the scope is too small, or it turned out
-  // to be one component (caller then fills serially).
-  bool parallel_water_fill();
 
   const topo::Topology* topo_;
   const fabric::LinkStateBoard* board_;
 
-  // One-shot scratch (link-indexed, cleared lazily via used_links_).
-  std::vector<double> remaining_;
-  std::vector<std::uint32_t> unfrozen_;
-  std::vector<std::vector<std::uint32_t>> flows_on_;
-  std::vector<bool> saturated_;
-  std::vector<LinkId> used_links_;
-  std::vector<bool> frozen_;  // one-shot, flow-indexed
-  std::vector<Bps> rate_;     // one-shot output
+  // compute() state: the registered paths and the rates handed back.
+  PathStore one_shot_paths_;
+  std::vector<Bps> one_shot_rates_;
 
   // Incremental state. *_mark_ vectors hold the stamp value of the pass
   // that last visited the entry — an O(1) reset between recomputes.
@@ -168,20 +146,6 @@ class MaxMinAllocator {
   std::vector<double> inc_remaining_;         // by link
   std::vector<std::uint32_t> inc_unfrozen_;   // by link
   std::vector<std::uint8_t> inc_saturated_;   // by link
-
-  // Sharded-parallel solve (set_parallel). Scratch is by *local* index
-  // (position in comp_flows_), so its size tracks the scope, not the fid
-  // space.
-  common::ThreadPool* pool_ = nullptr;
-  std::size_t min_parallel_flows_ = 1024;
-  std::size_t last_shards_ = 0;
-  std::vector<std::uint32_t> flow_local_;        // by fid
-  std::vector<std::uint32_t> uf_parent_;         // by local index
-  std::vector<std::uint32_t> root_shard_;        // by local index
-  std::vector<std::uint32_t> shard_flows_;       // comp_flows_ grouped
-  std::vector<LinkId::value_type> shard_links_;  // comp_links_ grouped
-  std::vector<std::uint32_t> shard_flow_begin_;  // per shard + sentinel
-  std::vector<std::uint32_t> shard_link_begin_;  // per shard + sentinel
 };
 
 }  // namespace dard::flowsim

@@ -46,6 +46,13 @@ class PathStore {
     spans_[fid] = Span{};
   }
 
+  // Drops every path, keeping the buffers' capacity.
+  void clear() {
+    pool_.clear();
+    spans_.clear();
+    live_ = 0;
+  }
+
   [[nodiscard]] std::span<const LinkId> span(std::uint32_t fid) const {
     DCN_CHECK(fid < spans_.size());
     const Span s = spans_[fid];

@@ -28,11 +28,6 @@ bool rate_changed(Bps a, Bps b) {
 FlowSimulator::FlowSimulator(const topo::Topology& t, SimConfig cfg)
     : topo_(&t), cfg_(cfg), paths_(t), board_(t), allocator_(t, &board_) {
   allocator_.attach(store_);
-  allocator_.set_full_only(cfg_.full_realloc);
-  if (cfg_.realloc_threads > 1) {
-    realloc_pool_ = std::make_unique<common::ThreadPool>(cfg_.realloc_threads);
-    allocator_.set_parallel(realloc_pool_.get());
-  }
 }
 
 void FlowSimulator::set_metrics(obs::MetricsRegistry* metrics) {
@@ -43,7 +38,6 @@ void FlowSimulator::set_metrics(obs::MetricsRegistry* metrics) {
     m_realloc_scoped_ = nullptr;
     m_queue_depth_ = nullptr;
     m_dirty_flows_ = nullptr;
-    m_maxmin_wall_ = nullptr;
     return;
   }
   m_reallocs_ = &metrics_->counter("flowsim.reallocations");
@@ -51,7 +45,6 @@ void FlowSimulator::set_metrics(obs::MetricsRegistry* metrics) {
   m_realloc_scoped_ = &metrics_->counter("flowsim.realloc_scoped");
   m_queue_depth_ = &metrics_->gauge("flowsim.event_queue_depth");
   m_dirty_flows_ = &metrics_->gauge("flowsim.maxmin_dirty_flows");
-  m_maxmin_wall_ = &metrics_->latency("flowsim.maxmin_wall");
 }
 
 double FlowSimulator::path_bonf(const Flow& f, PathIndex index) {
@@ -407,7 +400,6 @@ void FlowSimulator::reallocate() {
 
   const std::vector<std::uint32_t>* touched_ptr;
   {
-    obs::ScopedLatencyTimer timer(m_maxmin_wall_);
     const obs::ProfileScope timed(profiler_,
                                   obs::ProfileSection::MaxMinRealloc);
     touched_ptr = &allocator_.recompute();

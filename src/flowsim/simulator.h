@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "fabric/accounting.h"
 #include "fabric/data_plane.h"
 #include "fabric/switch_state.h"
@@ -40,20 +39,10 @@ struct SimConfig {
   // at the price of rates being stale for at most that long.
   Seconds realloc_interval = 0.0;
 
-  // Forces every reallocation down the full-recompute path instead of the
-  // scoped dirty-component one (A/B benchmarking; the results are the
-  // same either way — see DESIGN.md "Performance").
-  bool full_realloc = false;
-
   // Cross-checks every scoped reallocation against a from-scratch
   // computation and aborts on divergence beyond 1e-9 relative. Test-only:
   // it makes every event as expensive as a full recompute.
   bool validate_incremental = false;
-
-  // Worker threads for sharded-parallel max-min (see
-  // MaxMinAllocator::set_parallel). 0 or 1 solves serially; results are
-  // bit-identical either way, so this is purely a wall-clock knob.
-  unsigned realloc_threads = 0;
 
   // Hyperscale-run options (bench_hyperscale, DESIGN.md §14). With
   // recycle_flow_ids, a finished flow's dense id returns to a free list and
@@ -257,10 +246,9 @@ class FlowSimulator : public fabric::DataPlane {
   std::vector<std::uint32_t> active_pos_;  // FlowId -> index in active_
   std::vector<FlowRecord> records_;
   PathStore store_;  // active flows' link lists, CSR-pooled
-  std::unique_ptr<common::ThreadPool> realloc_pool_;
   MaxMinAllocator allocator_;
-  // validate_incremental scratch: a second, stateless allocator recomputes
-  // everything from scratch for comparison.
+  // validate_incremental scratch: a second allocator re-solves every
+  // active path with one full one-shot compute() for comparison.
   std::unique_ptr<MaxMinAllocator> check_alloc_;
   std::vector<std::span<const LinkId>> check_paths_;
 
@@ -278,7 +266,6 @@ class FlowSimulator : public fabric::DataPlane {
   obs::Counter* m_realloc_scoped_ = nullptr;
   obs::Gauge* m_queue_depth_ = nullptr;
   obs::Gauge* m_dirty_flows_ = nullptr;
-  obs::LatencyStat* m_maxmin_wall_ = nullptr;
 };
 
 }  // namespace dard::flowsim

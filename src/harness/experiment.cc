@@ -134,7 +134,6 @@ ExperimentResult run_fluid(const topo::Topology& t,
   flowsim::SimConfig sim_cfg;
   sim_cfg.elephant_threshold = cfg.elephant_threshold;
   sim_cfg.realloc_interval = cfg.realloc_interval;
-  sim_cfg.realloc_threads = cfg.realloc_threads;
   flowsim::FlowSimulator sim(t, sim_cfg);
 
   // Telemetry installs before the agent starts so agents can pick up the
@@ -442,10 +441,9 @@ std::vector<ExperimentResult> run_experiments_parallel(
   if (jobs == 0) jobs = std::thread::hardware_concurrency();
   jobs = std::max(1u, std::min<unsigned>(jobs, cells.size()));
 
-  // Cells are distributed over the shared fork-join pool (the same
-  // primitive the sharded max-min solve uses). Which thread runs a cell
-  // never affects its result — every cell builds its own simulator, RNGs
-  // and agent from the config alone.
+  // Cells are distributed over the fork-join pool. Which thread runs a
+  // cell never affects its result — every cell builds its own simulator,
+  // RNGs and agent from the config alone.
   common::ThreadPool pool(jobs);
   std::mutex done_mutex;
   pool.run_indexed(cells.size(), [&](std::size_t i) {

@@ -81,10 +81,6 @@ struct ExperimentConfig {
   // 20 ms batches recomputation without visibly perturbing multi-second
   // transfers. Fluid substrate only.
   Seconds realloc_interval = 0.02;
-  // Worker threads for the sharded-parallel max-min solve (see
-  // SimConfig::realloc_threads; 0/1 = serial, results bit-identical).
-  // Fluid substrate only.
-  unsigned realloc_threads = 0;
   core::DardConfig dard;
   baselines::HederaConfig hedera;
   Seconds pvlb_repick_interval = 10.0;

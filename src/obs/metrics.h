@@ -1,4 +1,4 @@
-// Named metrics registry: counters, gauges and latency histograms.
+// Named metrics registry: counters and gauges.
 //
 // Instruments register (or look up) metrics by dotted name and cache the
 // returned pointer; the hot path is then a single null check plus an
@@ -9,15 +9,11 @@
 // link-time dependency on the obs library.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <ostream>
 #include <sstream>
 #include <string>
-
-#include "common/stats.h"
-#include "common/units.h"
 
 namespace dard::obs {
 
@@ -40,64 +36,6 @@ struct Gauge {
   }
 };
 
-// Duration distribution: Welford summary plus decade buckets from 1 µs to
-// 10 s (anything faster lands in the first bucket, slower in the last).
-class LatencyStat {
- public:
-  static constexpr std::size_t kBuckets = 8;  // <1µs, <10µs, ..., >=1s
-
-  void record(Seconds s) {
-    stats_.add(s);
-    double edge = 1e-6;
-    std::size_t b = 0;
-    while (b + 1 < kBuckets && s >= edge) {
-      edge *= 10;
-      ++b;
-    }
-    ++buckets_[b];
-  }
-
-  [[nodiscard]] std::size_t count() const { return stats_.count(); }
-  [[nodiscard]] Seconds total() const { return stats_.sum(); }
-  [[nodiscard]] Seconds mean() const { return stats_.mean(); }
-  [[nodiscard]] Seconds min() const { return stats_.min(); }
-  [[nodiscard]] Seconds max() const { return stats_.max(); }
-  [[nodiscard]] std::uint64_t count_in(std::size_t bucket) const {
-    return buckets_[bucket];
-  }
-  // Lower edge of `bucket` in seconds (bucket 0 is open below).
-  [[nodiscard]] static Seconds bucket_lo(std::size_t bucket) {
-    Seconds edge = 0;
-    for (std::size_t b = 0; b < bucket; ++b) edge = (b == 0) ? 1e-6 : edge * 10;
-    return edge;
-  }
-
- private:
-  OnlineStats stats_;
-  std::uint64_t buckets_[kBuckets] = {};
-};
-
-// Wall-clock scope timer feeding a LatencyStat. A null stat skips the clock
-// reads entirely, so disabled instrumentation never touches the clock.
-class ScopedLatencyTimer {
- public:
-  explicit ScopedLatencyTimer(LatencyStat* stat) : stat_(stat) {
-    if (stat_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-  ~ScopedLatencyTimer() {
-    if (stat_ != nullptr)
-      stat_->record(std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start_)
-                        .count());
-  }
-  ScopedLatencyTimer(const ScopedLatencyTimer&) = delete;
-  ScopedLatencyTimer& operator=(const ScopedLatencyTimer&) = delete;
-
- private:
-  LatencyStat* stat_;
-  std::chrono::steady_clock::time_point start_;
-};
-
 // Owns every metric; references handed out stay valid for the registry's
 // lifetime (node-based map). Not thread-safe — the simulators are
 // single-threaded and so is their telemetry.
@@ -105,7 +43,6 @@ class MetricsRegistry {
  public:
   Counter& counter(const std::string& name) { return counters_[name]; }
   Gauge& gauge(const std::string& name) { return gauges_[name]; }
-  LatencyStat& latency(const std::string& name) { return latencies_[name]; }
 
   [[nodiscard]] const std::map<std::string, Counter>& counters() const {
     return counters_;
@@ -113,32 +50,22 @@ class MetricsRegistry {
   [[nodiscard]] const std::map<std::string, Gauge>& gauges() const {
     return gauges_;
   }
-  [[nodiscard]] const std::map<std::string, LatencyStat>& latencies() const {
-    return latencies_;
-  }
 
   // One row per metric: name,kind,count,value,mean,min,max.
   //  counter: count == value == total increments;
-  //  gauge:   value = last write, max = high-water mark;
-  //  latency: count = samples, value = total seconds, mean/min/max seconds.
+  //  gauge:   value = last write, max = high-water mark.
+  // Timings live in the profiler (obs/profiler.h); the mean/min columns
+  // stay so metrics.csv keeps one header across versions.
   void write_csv(std::ostream& os) const {
     os << "name,kind,count,value,mean,min,max\n";
     for (const auto& [name, c] : counters_)
       os << name << ",counter," << c.value << ',' << c.value << ",,,\n";
     for (const auto& [name, g] : gauges_)
       os << name << ",gauge,," << g.value << ",,," << g.peak << '\n';
-    for (const auto& [name, l] : latencies_) {
-      os << name << ",latency," << l.count() << ',' << l.total() << ','
-         << l.mean() << ',';
-      if (l.count() > 0) os << l.min();
-      os << ',';
-      if (l.count() > 0) os << l.max();
-      os << '\n';
-    }
   }
 
   // Compact single-line rendering for bench logs:
-  //   reallocs=812 queue_depth=97max maxmin=0.07ms x812
+  //   flowsim.reallocations=812 flowsim.event_queue_depth=3 (peak 97)
   [[nodiscard]] std::string summary() const {
     std::ostringstream os;
     bool first = true;
@@ -154,17 +81,12 @@ class MetricsRegistry {
       sep();
       os << name << '=' << g.value << " (peak " << g.peak << ')';
     }
-    for (const auto& [name, l] : latencies_) {
-      sep();
-      os << name << '=' << l.mean() * 1e3 << "ms x" << l.count();
-    }
     return os.str();
   }
 
  private:
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
-  std::map<std::string, LatencyStat> latencies_;
 };
 
 }  // namespace dard::obs

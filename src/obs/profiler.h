@@ -12,6 +12,7 @@
 // instrument themselves without a link-time dependency on the obs library.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cmath>
@@ -163,7 +164,10 @@ class LatencyHistogram {
   // Percentile estimate for q in [0, 1]. Walks buckets to the sample of
   // rank ceil(q * count) and interpolates log-linearly inside it; the
   // underflow and overflow buckets report the exact min/max instead (the
-  // histogram has no shape information there).
+  // histogram has no shape information there). Interpolation assumes the
+  // samples spread over the whole bucket, so the estimate is clamped to the
+  // observed [min, max]: a cluster inside one bucket never reports a
+  // percentile outside its own range.
   [[nodiscard]] Seconds percentile(double q) const {
     if (count() == 0) return 0;
     if (q <= 0) return min();
@@ -181,7 +185,7 @@ class LatencyHistogram {
           1.0 - static_cast<double>(seen - target) /
                     static_cast<double>(buckets_[b]);
       const double lo = bucket_lo(b);
-      return lo * std::pow(bucket_hi(b) / lo, frac);
+      return std::clamp(lo * std::pow(bucket_hi(b) / lo, frac), min(), max());
     }
     return max();
   }

@@ -1,24 +1,18 @@
 // Hyperscale-substrate contracts (DESIGN.md §14): the fork-join thread
-// pool, the slab arena behind per-link flow lists, bit-identical
-// sharded-parallel max-min across seeds and thread counts, flow-id
-// recycling with incarnation-guarded timers, and the in-place PathStore
-// overwrite — the pieces that let a k=32 run hold 1M arrivals at flat RSS.
+// pool behind run_experiments_parallel, the slab arena behind per-link flow
+// lists, flow-id recycling with incarnation-guarded timers, and the
+// in-place PathStore overwrite — the pieces that let a k=32 run hold 1M
+// arrivals at flat RSS.
 #include <gtest/gtest.h>
 
-#include <span>
 #include <vector>
 
 #include "baselines/ecmp.h"
 #include "common/arena.h"
-#include "common/rng.h"
 #include "common/thread_pool.h"
-#include "flowsim/max_min.h"
 #include "flowsim/path_store.h"
 #include "flowsim/simulator.h"
-#include "harness/experiment.h"
 #include "topology/builders.h"
-#include "topology/paths.h"
-#include "traffic/patterns.h"
 
 namespace dard::flowsim {
 namespace {
@@ -116,123 +110,6 @@ TEST(PathStore, SameLengthOverwriteReusesTheSpanInPlace) {
   EXPECT_GT(store.pool_links(), pool_after_first);
   EXPECT_EQ(store.live_links(), 1u);
   EXPECT_EQ(store.span(0)[0], c[0]);
-}
-
-// Mirrors one random staggered workload into two incremental allocators
-// and pins their rate vectors bit-for-bit against each other.
-class PairedChurn {
- public:
-  PairedChurn(const Topology& t, std::uint64_t seed, unsigned threads)
-      : topo_(&t),
-        repo_(t),
-        serial_(t),
-        sharded_(t),
-        pool_(threads),
-        picker_(t, {.kind = traffic::PatternKind::Staggered}),
-        rng_(seed) {
-    serial_.attach(store_serial_);
-    sharded_.attach(store_sharded_);
-    // Threshold 2: any scope with two components solves in parallel, so
-    // the test exercises the sharded path on small populations.
-    sharded_.set_parallel(&pool_, /*min_parallel_flows=*/2);
-  }
-
-  void add(std::uint32_t fid) {
-    const auto& hosts = topo_->hosts();
-    const NodeId s = hosts[rng_.next_below(hosts.size())];
-    const NodeId d = picker_.pick(s, rng_);
-    const auto& tp =
-        repo_.tor_paths(topo_->tor_of_host(s), topo_->tor_of_host(d));
-    const auto path =
-        topo::host_path(*topo_, s, d, tp[rng_.next_below(tp.size())]).links;
-    store_serial_.set(fid, path);
-    store_sharded_.set(fid, path);
-    serial_.add_flow(fid);
-    sharded_.add_flow(fid);
-    live_.push_back(fid);
-  }
-
-  void remove_random() {
-    if (live_.empty()) return;
-    const std::size_t pos = rng_.next_below(live_.size());
-    const std::uint32_t fid = live_[pos];
-    live_[pos] = live_.back();
-    live_.pop_back();
-    serial_.remove_flow(fid);
-    sharded_.remove_flow(fid);
-  }
-
-  // Recomputes both sides; the touched sets and every live rate must be
-  // bit-identical (EXPECT_EQ on doubles, not a tolerance).
-  void recompute_and_compare() {
-    const std::vector<std::uint32_t> ta = serial_.recompute();
-    const std::vector<std::uint32_t> tb = sharded_.recompute();
-    ASSERT_EQ(ta, tb);
-    for (const std::uint32_t fid : live_)
-      ASSERT_EQ(serial_.rate_of(fid), sharded_.rate_of(fid)) << "fid " << fid;
-    max_shards_ = std::max(max_shards_, sharded_.last_shard_count());
-  }
-
-  [[nodiscard]] std::size_t max_shards() const { return max_shards_; }
-
- private:
-  const Topology* topo_;
-  topo::PathRepository repo_;
-  PathStore store_serial_;
-  PathStore store_sharded_;
-  MaxMinAllocator serial_;
-  MaxMinAllocator sharded_;
-  common::ThreadPool pool_;
-  traffic::DestinationPicker picker_;
-  Rng rng_;
-  std::vector<std::uint32_t> live_;
-  std::size_t max_shards_ = 0;
-};
-
-TEST(ShardedMaxMin, BitIdenticalToSerialAcrossSeeds) {
-  const Topology t = build_fat_tree({.p = 8});
-  for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
-    PairedChurn churn(t, seed, /*threads=*/4);
-    std::uint32_t next_fid = 0;
-    for (std::uint32_t i = 0; i < 160; ++i) churn.add(next_fid++);
-    churn.recompute_and_compare();
-    for (int round = 0; round < 6; ++round) {
-      for (int i = 0; i < 10; ++i) churn.add(next_fid++);
-      for (int i = 0; i < 6; ++i) churn.remove_random();
-      churn.recompute_and_compare();
-    }
-    // The staggered population must actually have split into components
-    // solved concurrently — otherwise this test proved nothing.
-    EXPECT_GT(churn.max_shards(), 1u) << "seed " << seed;
-  }
-}
-
-TEST(ShardedMaxMin, ExperimentResultsIdenticalAcrossThreadsOnBothSubstrates) {
-  // The end-to-end form of the same contract: realloc_threads is a pure
-  // wall-clock knob on either substrate.
-  const Topology t = build_fat_tree({.p = 4});
-  harness::ExperimentConfig base;
-  base.scheduler = harness::SchedulerKind::Dard;
-  base.workload.pattern.kind = traffic::PatternKind::Staggered;
-  base.workload.mean_interarrival = 0.2;
-  base.workload.flow_size = 8 * kMiB;
-  base.workload.duration = 1.0;
-  base.workload.seed = 5;
-  base.realloc_interval = 0.005;
-  for (const harness::Substrate s :
-       {harness::Substrate::Fluid, harness::Substrate::Packet}) {
-    harness::ExperimentConfig serial = base;
-    serial.substrate = s;
-    harness::ExperimentConfig threaded = serial;
-    threaded.realloc_threads = 4;
-    const auto a = harness::run_experiment(t, serial);
-    const auto b = harness::run_experiment(t, threaded);
-    EXPECT_EQ(a.flows, b.flows) << to_string(s);
-    EXPECT_EQ(a.avg_transfer_time, b.avg_transfer_time) << to_string(s);
-    EXPECT_EQ(a.reroutes, b.reroutes) << to_string(s);
-    EXPECT_EQ(a.peak_elephants, b.peak_elephants) << to_string(s);
-    EXPECT_EQ(a.control_bytes, b.control_bytes) << to_string(s);
-  }
 }
 
 FlowSpec spec_at(NodeId src, NodeId dst, Bytes size, Seconds at,

@@ -3,9 +3,10 @@
 //
 // Property tested (over random fat-tree / Clos workloads and seeds): after
 // any churn of add_flow / remove_flow / moves / link failures, recompute()
-// leaves every live flow's rate within 1e-9 relative of what a one-shot
-// MaxMinAllocator::compute() over the same paths produces — and flows NOT
-// in the returned touched set keep their previous rate bit-for-bit.
+// leaves every live flow's rate within 1e-9 relative of the independent
+// textbook solver in maxmin_oracle.h over the same paths and capacities —
+// and flows NOT in the returned touched set keep their previous rate
+// bit-for-bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include "flowsim/max_min.h"
 #include "flowsim/path_store.h"
 #include "flowsim/simulator.h"
+#include "maxmin_oracle.h"
 #include "topology/builders.h"
 #include "topology/paths.h"
 #include "traffic/patterns.h"
@@ -101,18 +103,20 @@ class ChurnHarness {
     const std::unordered_set<std::uint32_t> touched_set(touched.begin(),
                                                         touched.end());
 
-    // Reference: from-scratch allocation over the same paths + board.
+    // Reference: the independent solver over the same paths + board.
     std::vector<std::span<const LinkId>> paths;
     paths.reserve(live_.size());
     for (const std::uint32_t fid : live_) paths.push_back(store_.span(fid));
-    MaxMinAllocator fresh(*topo_, &board_);
-    const auto& want = fresh.compute_spans(paths);
+    std::vector<double> capacity(topo_->link_count());
+    for (const auto& link : topo_->links())
+      capacity[link.id.value()] = board_.capacity(link.id);
+    const std::vector<double> want = oracle::max_min_rates(paths, capacity);
 
     for (std::size_t i = 0; i < live_.size(); ++i) {
       const std::uint32_t fid = live_[i];
       EXPECT_TRUE(close(alloc_.rate_of(fid), want[i]))
           << "fid " << fid << ": incremental " << alloc_.rate_of(fid)
-          << " vs full " << want[i];
+          << " vs oracle " << want[i];
       if (touched_set.count(fid) == 0) {
         EXPECT_EQ(alloc_.rate_of(fid), before[fid])
             << "untouched fid " << fid << " drifted";

@@ -13,6 +13,7 @@
 
 #include "harness/experiment.h"
 #include "obs/metrics.h"
+#include "obs/profiler.h"
 #include "obs/samplers.h"
 #include "obs/trace.h"
 #include "scope/trace_load.h"
@@ -48,37 +49,16 @@ TEST(Metrics, GaugeTracksPeak) {
   EXPECT_DOUBLE_EQ(g.peak, 10.0);
 }
 
-TEST(Metrics, LatencySummaryAndBuckets) {
-  MetricsRegistry m;
-  LatencyStat& l = m.latency("wall");
-  l.record(5e-6);   // [1µs, 10µs)  -> bucket 1
-  l.record(0.5);    // [0.1s, 1s)   -> bucket 6
-  l.record(2.0);    // >= 1s        -> bucket 7 (last)
-  l.record(1e-9);   // < 1µs        -> bucket 0
-  EXPECT_EQ(l.count(), 4u);
-  EXPECT_DOUBLE_EQ(l.min(), 1e-9);
-  EXPECT_DOUBLE_EQ(l.max(), 2.0);
-  EXPECT_EQ(l.count_in(0), 1u);
-  EXPECT_EQ(l.count_in(1), 1u);
-  EXPECT_EQ(l.count_in(6), 1u);
-  EXPECT_EQ(l.count_in(LatencyStat::kBuckets - 1), 1u);
-  EXPECT_DOUBLE_EQ(LatencyStat::bucket_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(LatencyStat::bucket_lo(1), 1e-6);
-  EXPECT_DOUBLE_EQ(LatencyStat::bucket_lo(6), 0.1);
-}
-
 TEST(Metrics, CsvListsEveryMetric) {
   MetricsRegistry m;
   m.counter("c").add(7);
   m.gauge("g").set(1.5);
-  m.latency("l").record(0.25);
   std::ostringstream os;
   m.write_csv(os);
   const std::string csv = os.str();
   EXPECT_NE(csv.find("name,kind,count,value,mean,min,max"), std::string::npos);
   EXPECT_NE(csv.find("c,counter,7,7"), std::string::npos);
   EXPECT_NE(csv.find("g,gauge,,1.5"), std::string::npos);
-  EXPECT_NE(csv.find("l,latency,1,0.25"), std::string::npos);
 }
 
 TEST(Metrics, SummaryIsOneLine) {
@@ -89,17 +69,6 @@ TEST(Metrics, SummaryIsOneLine) {
   EXPECT_EQ(s.find('\n'), std::string::npos);
   EXPECT_NE(s.find("moves=3"), std::string::npos);
   EXPECT_NE(s.find("depth=9"), std::string::npos);
-}
-
-TEST(Metrics, NullScopedTimerIsANoop) {
-  ScopedLatencyTimer timer(nullptr);  // must not crash or read the clock
-}
-
-TEST(Metrics, ScopedTimerRecordsOnce) {
-  LatencyStat stat;
-  { ScopedLatencyTimer timer(&stat); }
-  EXPECT_EQ(stat.count(), 1u);
-  EXPECT_GE(stat.max(), 0.0);
 }
 
 // ------------------------------------------------------------ trace sinks
@@ -581,8 +550,10 @@ TEST(ObsIntegration, SampledUtilizationNeverExceedsCapacity) {
 TEST(ObsIntegration, MetricsCoverTheRun) {
   const Topology t = build_fat_tree({.p = 4});
   MetricsRegistry metrics;
+  Profiler profiler;
   auto cfg = traced_config();
   cfg.telemetry.metrics = &metrics;
+  cfg.telemetry.profiler = &profiler;
   const auto result = run_experiment(t, cfg);
   ASSERT_GT(result.reroutes, 0u);
 
@@ -595,7 +566,9 @@ TEST(ObsIntegration, MetricsCoverTheRun) {
             metrics.counter("dard.moves_accepted").value +
                 metrics.counter("dard.moves_rejected").value);
   EXPECT_GT(metrics.gauge("flowsim.event_queue_depth").peak, 0.0);
-  EXPECT_EQ(metrics.latency("flowsim.maxmin_wall").count(),
+  // Max-min wall time has one ledger, the profiler: one sample per
+  // reallocation.
+  EXPECT_EQ(profiler.section(ProfileSection::MaxMinRealloc).count(),
             metrics.counter("flowsim.reallocations").value);
 }
 

@@ -1,5 +1,6 @@
 // obs::Profiler: log-bucketed latency histogram boundaries (edges, zero,
-// NaN, overflow), percentile estimation bounds, scoped-timer semantics
+// NaN, overflow), percentile estimation bounds (a seeded property: ordered
+// and inside [min, max]), scoped-timer semantics
 // (including the disabled null-profiler contract), gauges and CSV output.
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/rng.h"
 #include "obs/profiler.h"
 
 namespace dard::obs {
@@ -103,6 +105,63 @@ TEST(LatencyHistogram, PercentileOrdersAcrossDecades) {
   EXPECT_LT(h.percentile(0.95), 1e-2);
   EXPECT_GT(h.percentile(0.999), 1e-1);
   EXPECT_DOUBLE_EQ(h.max(), 1.0);
+}
+
+TEST(LatencyHistogram, PercentilesStayOrderedInsideMinMax) {
+  // Seeded property: whatever the sample mix — one value repeated (the
+  // whole cluster inside one bucket), a tight cluster straddling a bucket
+  // edge, log-uniform spreads, under/overflow outliers — the estimates are
+  // ordered and never leave the observed range.
+  Rng rng(20261017);
+  const auto check = [](const Hist& h, const std::string& what) {
+    const double p01 = h.percentile(0.01);
+    const double p50 = h.percentile(0.50);
+    const double p90 = h.percentile(0.90);
+    const double p99 = h.percentile(0.99);
+    const double p999 = h.percentile(0.999);
+    EXPECT_LE(h.min(), p01) << what;
+    EXPECT_LE(p01, p50) << what;
+    EXPECT_LE(p50, p90) << what;
+    EXPECT_LE(p90, p99) << what;
+    EXPECT_LE(p99, p999) << what;
+    EXPECT_LE(p999, h.max()) << what;
+  };
+  {
+    Hist h;  // three samples of 1.0 us: one bucket, far below its top
+    for (int i = 0; i < 3; ++i) h.record(1e-6);
+    check(h, "3 x 1.0us");
+  }
+  {
+    Hist h;  // 100 samples of 1.3 us: far above its bucket's bottom
+    for (int i = 0; i < 100; ++i) h.record(1.3e-6);
+    check(h, "100 x 1.3us");
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    Hist h;
+    const std::uint64_t shape = rng.next_below(4);
+    const double centre = std::pow(10.0, rng.uniform(-7.5, 1.5));
+    const std::uint64_t n = 1 + rng.next_below(2000);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      switch (shape) {
+        case 0:  // one value repeated
+          h.record(centre);
+          break;
+        case 1:  // a cluster within +-2% (may straddle one edge)
+          h.record(centre * rng.uniform(0.98, 1.02));
+          break;
+        case 2:  // log-uniform over the tracked range and beyond
+          h.record(std::pow(10.0, rng.uniform(-8.0, 1.5)));
+          break;
+        default:  // a cluster plus rare outliers both ways
+          h.record(rng.bernoulli(0.01)
+                       ? (rng.bernoulli(0.5) ? 0.0 : 20.0)
+                       : centre * rng.uniform(0.9, 1.1));
+          break;
+      }
+    }
+    check(h, "trial " + std::to_string(trial) + " shape " +
+                 std::to_string(shape) + " n " + std::to_string(n));
+  }
 }
 
 // ------------------------------------------------- profiler + scopes
