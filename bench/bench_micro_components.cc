@@ -186,6 +186,39 @@ void BM_PathGenerateAll(benchmark::State& state) {
 }
 BENCHMARK(BM_PathGenerateAll)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 
+// What an arriving flow costs the path layer: the pair's path count, then
+// the one path its hash picked, over a fixed seeded list of inter-pod pairs
+// and indices. BM_PathPlaceByIndex/32 against BM_PathGenerateAll/32 is the
+// CI gate on the generator's index path: path(i) walking every candidate
+// before i again would cost about a full set. It calls the generator
+// directly, so it does not see whether callers place from a whole set;
+// LazyPaths.ArrivalsBuildNoPathSet pins that.
+void BM_PathPlaceByIndex(benchmark::State& state) {
+  const auto t = topo::build_fat_tree({.p = static_cast<int>(state.range(0))});
+  const topo::PathGenerator gen(t);
+  const auto& tors = t.tors();
+  struct Placement {
+    NodeId src, dst;
+    std::uint64_t hash;
+  };
+  constexpr std::size_t kPairs = 64;
+  std::vector<Placement> placements;
+  Rng rng(7);
+  while (placements.size() < kPairs) {
+    const NodeId s = tors[rng.next_below(tors.size())];
+    const NodeId d = tors[rng.next_below(tors.size())];
+    if (t.node(s).pod != t.node(d).pod)
+      placements.push_back({s, d, rng.bits()});
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Placement& p = placements[i++ % kPairs];
+    const std::size_t count = gen.count(p.src, p.dst);
+    benchmark::DoNotOptimize(gen.path(p.src, p.dst, p.hash % count));
+  }
+}
+BENCHMARK(BM_PathPlaceByIndex)->Arg(8)->Arg(32);
+
 // Amortized per-pair access through the bounded LRU: a scheduler touching
 // a working set that fits in cache pays a flat-hash hit, not a rebuild.
 void BM_PathRepositoryLookup(benchmark::State& state) {

@@ -23,12 +23,13 @@ struct EncapHeader {
   Address dst;
 };
 
-// Selects the address pair encoding path `path_index` of the equal-cost
-// set between the hosts' ToRs, ready to stamp on outgoing packets.
+// Selects the address pair encoding path `path_index` between the hosts'
+// ToRs (built alone by the repository's generator, no path set), ready to
+// stamp on outgoing packets.
 // nullopt only for malformed inputs (out-of-range index).
 [[nodiscard]] std::optional<EncapHeader> make_tunnel(
-    const AddressingPlan& plan, topo::PathRepository& paths, NodeId src_host,
-    NodeId dst_host, PathIndex path_index);
+    const AddressingPlan& plan, const topo::PathRepository& paths,
+    NodeId src_host, NodeId dst_host, PathIndex path_index);
 
 // The hop-by-hop route the fabric's installed tables would forward this
 // header along (host -> ... -> host). Aborts on loops/drops — static

@@ -59,8 +59,7 @@ class PvlbAgent : public fabric::ControlAgent {
 
  private:
   void tick(fabric::DataPlane& net);
-  PathIndex random_pick(const fabric::FlowView& flow,
-                        const std::vector<topo::Path>& paths);
+  PathIndex random_pick(const fabric::FlowView& flow, std::size_t count);
 
   Seconds repick_interval_;
   std::uint64_t seed_;

@@ -100,7 +100,7 @@ std::vector<double> estimate_demands(const std::vector<std::uint32_t>& srcs,
 
 void HederaAgent::start(DataPlane& net) {
   rng_ = std::make_unique<Rng>(cfg_.seed);
-  if (cfg_.weighted_default_routing) wcmp_.attach(net.topology());
+  if (cfg_.weighted_default_routing) wcmp_.attach(net.paths().generator());
   selector_.clear();
   rounds_ = 0;
   reassignments_ = 0;
@@ -109,12 +109,12 @@ void HederaAgent::start(DataPlane& net) {
 }
 
 PathIndex HederaAgent::place(DataPlane& net, const FlowView& flow) {
-  const auto& paths = net.path_set(flow);
+  const std::size_t count = net.path_count(flow);
   if (cfg_.weighted_default_routing)
     return wcmp_.pick(flow.src_host, flow.dst_host, flow.src_port,
-                      flow.dst_port, paths);
+                      flow.dst_port, count);
   return ecmp_path_index(flow.src_host, flow.dst_host, flow.src_port,
-                         flow.dst_port, paths.size());
+                         flow.dst_port, count);
 }
 
 void HederaAgent::control_round(DataPlane& sim) {
@@ -147,13 +147,20 @@ void HederaAgent::control_round(DataPlane& sim) {
     sim.accountant().record(now, fabric::kHederaReportBytes,
                             fabric::ControlCategory::SchedulerReport);
 
+  // Entries point into these sets for the whole round, long after later
+  // lookups may have evicted their cache entries, so each distinct ToR pair
+  // is pinned once for the round.
+  std::unordered_map<std::uint64_t, topo::PathRepository::PathSetPtr> pins;
   std::vector<Entry> entries;
   for (const FlowId id : sim.active_flows()) {
     const FlowView f = sim.flow_view(id);
     if (!f.is_elephant) continue;
     sim.accountant().record(now, fabric::kHederaReportBytes,
                             fabric::ControlCategory::SchedulerReport);
-    const auto& paths = sim.paths().tor_paths(f.src_tor, f.dst_tor);
+    auto& pin = pins[(static_cast<std::uint64_t>(f.src_tor.value()) << 32) |
+                     f.dst_tor.value()];
+    if (!pin) pin = sim.paths().pinned(f.src_tor, f.dst_tor);
+    const auto& paths = *pin;
     if (paths.size() < 2) continue;  // nothing to schedule
     Entry e;
     e.id = id;

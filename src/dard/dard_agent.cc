@@ -9,7 +9,7 @@ using fabric::FlowView;
 
 void DardAgent::start(DataPlane& net) {
   rng_ = std::make_unique<Rng>(cfg_.seed);
-  if (cfg_.weighted_placement) wcmp_.attach(net.topology());
+  if (cfg_.weighted_placement) wcmp_.attach(net.paths().generator());
   service_ = std::make_unique<fabric::StateQueryService>(net.link_state(),
                                                          &net.accountant());
   // The fault subsystem (if any) installed its degradation model on the
@@ -51,14 +51,14 @@ void DardAgent::start(DataPlane& net) {
 }
 
 PathIndex DardAgent::place(DataPlane& net, const FlowView& flow) {
-  const auto& paths = net.path_set(flow);
+  const std::size_t count = net.path_count(flow);
   // Non-deployed hosts run stock ECMP end to end — even the weighted
   // placement is the DARD rollout's, not theirs.
   if (cfg_.weighted_placement && deployed(flow.src_host))
     return wcmp_.pick(flow.src_host, flow.dst_host, flow.src_port,
-                      flow.dst_port, paths);
+                      flow.dst_port, count);
   return ecmp_path_index(flow.src_host, flow.dst_host, flow.src_port,
-                         flow.dst_port, paths.size());
+                         flow.dst_port, count);
 }
 
 DardHostDaemon& DardAgent::daemon_for(DataPlane& net, NodeId host) {

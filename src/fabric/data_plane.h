@@ -6,7 +6,7 @@
 // simulator. This header is that boundary in code. Everything a scheduling
 // agent may do to a network goes through DataPlane:
 //
-//   * path-set lookup (the equal-cost ToR-path repository),
+//   * equal-cost ToR paths, addressed by (src ToR, dst ToR, index),
 //   * per-link state reads via the LinkStateBoard, queried through
 //     StateQueryService so control messages are accounted identically on
 //     either substrate,
@@ -31,6 +31,7 @@
 #include "obs/metrics.h"
 #include "obs/observer.h"
 #include "obs/profiler.h"
+#include "topology/path_gen.h"
 #include "topology/paths.h"
 
 namespace dard::obs {
@@ -61,8 +62,10 @@ class DataPlane {
   virtual ~DataPlane() = default;
 
   [[nodiscard]] virtual const topo::Topology& topology() const = 0;
-  // Equal-cost ToR-path enumeration, shared and cached per (src, dst) ToR
-  // pair. Path indices handed to place()/move_flow() index into these sets.
+  // The fabric's equal-cost ToR paths. Path indices handed to
+  // place()/move_flow() address generator().path(src ToR, dst ToR, i);
+  // holders of a whole set (DARD monitors, Hedera's rounds) pin it from the
+  // repository's cache.
   virtual topo::PathRepository& paths() = 0;
 
   [[nodiscard]] virtual Seconds now() const = 0;
@@ -140,9 +143,11 @@ class DataPlane {
   void set_spans(obs::SpanRecorder* spans) { spans_ = spans; }
   [[nodiscard]] obs::SpanRecorder* spans() const { return spans_; }
 
-  // The equal-cost path set `v` selects among.
-  const std::vector<topo::Path>& path_set(const FlowView& v) {
-    return paths().tor_paths(v.src_tor, v.dst_tor);
+  // How many equal-cost paths `v` selects among. Computed from the path
+  // generator's tables: no path is built and the repository's cache is not
+  // touched, so placement costs no path-set materialization.
+  [[nodiscard]] std::size_t path_count(const FlowView& v) {
+    return paths().generator().count(v.src_tor, v.dst_tor);
   }
 
   // --- Runtime invariant auditing (DESIGN.md §16; off by default). ---
@@ -176,7 +181,10 @@ class ControlAgent {
   // Called once, before any flow arrives on `net`.
   virtual void start(DataPlane& /*net*/) {}
 
-  // Initial path (index into net.path_set(flow)) for an arriving flow.
+  // Initial path for an arriving flow: an index below net.path_count(flow),
+  // which the substrate resolves with the generator's path(src ToR, dst
+  // ToR, index). Hash- and draw-based policies need only the count, so an
+  // arrival builds no path set.
   virtual PathIndex place(DataPlane& net, const FlowView& flow) = 0;
 
   virtual void on_elephant(DataPlane& /*net*/, const FlowView& /*flow*/) {}

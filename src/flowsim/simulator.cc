@@ -48,10 +48,9 @@ void FlowSimulator::set_metrics(obs::MetricsRegistry* metrics) {
 }
 
 double FlowSimulator::path_bonf(const Flow& f, PathIndex index) {
-  const auto& set = paths_.tor_paths(f.src_tor, f.dst_tor);
-  DCN_CHECK_MSG(index < set.size(), "path index out of range");
   double bonf = std::numeric_limits<double>::infinity();
-  for (const LinkId l : set[index].links) {
+  for (const LinkId l :
+       paths_.generator().path(f.src_tor, f.dst_tor, index).links) {
     if (!topo_->is_switch_switch(l)) continue;
     const fabric::LinkState state{l, board_.capacity(l), board_.elephants(l)};
     bonf = std::min(bonf, state.bonf());
@@ -124,11 +123,10 @@ double FlowSimulator::remaining_bytes(FlowId id) const {
 }
 
 void FlowSimulator::set_path_links(Flow& f, PathIndex index) {
-  const auto& set = paths_.tor_paths(f.src_tor, f.dst_tor);
-  DCN_CHECK_MSG(index < set.size(), "path index out of range");
+  const topo::Path full = topo::host_path(
+      *topo_, f.spec.src_host, f.spec.dst_host,
+      paths_.generator().path(f.src_tor, f.dst_tor, index));
   f.path_index = index;
-  const topo::Path full =
-      topo::host_path(*topo_, f.spec.src_host, f.spec.dst_host, set[index]);
   store_.set(f.id.value(), full.links);
 }
 

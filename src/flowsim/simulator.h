@@ -110,11 +110,6 @@ class FlowSimulator : public fabric::DataPlane {
                             f.src_tor,      f.dst_tor,       f.spec.src_port,
                             f.spec.dst_port, f.path_index,   f.is_elephant};
   }
-  // The equal-cost ToR-path set this flow selects among.
-  const std::vector<topo::Path>& path_set(const Flow& f) {
-    return paths_.tor_paths(f.src_tor, f.dst_tor);
-  }
-  using fabric::DataPlane::path_set;
   // The flow's current host-to-host link list (a view into the pooled
   // path store). Valid for *active* flows only, and only until the next
   // arrival / move / completion mutates the store.
@@ -155,7 +150,7 @@ class FlowSimulator : public fabric::DataPlane {
     return store_.pool_links() * sizeof(LinkId);
   }
 
-  // Ground-truth BoNF of one path of `f`'s equal-cost set: min over the
+  // Ground-truth BoNF of path `index` of `f`'s ToR pair: min over the
   // path's switch-switch links of effective capacity / elephant count.
   // Mirrors what a DARD monitor would assemble from fresh switch state.
   [[nodiscard]] double path_bonf(const Flow& f, PathIndex index);

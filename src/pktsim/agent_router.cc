@@ -184,7 +184,7 @@ PathSetRouter::FlowPaths TunneledAgentRouter::make_flow_paths(
   fp.dst_host = dst_host;
   const NodeId src_tor = topo_->tor_of_host(src_host);
   const NodeId dst_tor = topo_->tor_of_host(dst_host);
-  const std::size_t count = repo_.tor_paths(src_tor, dst_tor).size();
+  const std::size_t count = repo_.generator().count(src_tor, dst_tor);
   for (PathIndex i = 0; i < count; ++i) {
     const auto header = addr::make_tunnel(*plan_, repo_, src_host, dst_host, i);
     DCN_CHECK_MSG(header.has_value(), "unencodable equal-cost path");
@@ -199,9 +199,8 @@ Bytes TunneledAgentRouter::encap_overhead() const {
 
 addr::EncapHeader TunneledAgentRouter::header_for(FlowId flow) const {
   const FlowPaths& fp = flows_.at(flow);
-  auto repo = topo::PathRepository(*topo_);
   const auto header =
-      addr::make_tunnel(*plan_, repo, fp.src_host, fp.dst_host, fp.current);
+      addr::make_tunnel(*plan_, repo_, fp.src_host, fp.dst_host, fp.current);
   DCN_CHECK(header.has_value());
   return *header;
 }

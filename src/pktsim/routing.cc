@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "topology/path_gen.h"
+
 namespace dard::pktsim {
 
 PathSetRouter::FlowPaths PathSetRouter::make_flow_paths(NodeId src_host,
@@ -11,7 +13,7 @@ PathSetRouter::FlowPaths PathSetRouter::make_flow_paths(NodeId src_host,
   fp.dst_host = dst_host;
   const NodeId src_tor = topo_->tor_of_host(src_host);
   const NodeId dst_tor = topo_->tor_of_host(dst_host);
-  for (const topo::Path& p : repo_.tor_paths(src_tor, dst_tor))
+  for (const topo::Path& p : repo_.generator().all(src_tor, dst_tor))
     fp.routes.push_back(topo::host_path(*topo_, src_host, dst_host, p).links);
   return fp;
 }

@@ -6,87 +6,130 @@
 
 namespace dard::topo {
 
+namespace {
+
+// Advances `f` along an id-sorted feeds list to `agg`; true when `agg`
+// feeds the list's ToR (has a down-cable to it).
+template <class Edge>
+bool feeds(const Edge*& f, const Edge* end, NodeId agg) {
+  while (f != end && f->node < agg) ++f;
+  return f != end && f->node == agg;
+}
+
+}  // namespace
+
 PathGenerator::PathGenerator(const Topology& t)
-    : topo_(&t), up_(t.node_count()), down_(t.node_count()) {
+    : topo_(&t), ord_(t.node_count(), 0) {
+  std::size_t tors = 0;
+  for (const Node& n : t.nodes()) {
+    if (n.kind == NodeKind::Tor)
+      ord_[n.id.value()] = static_cast<std::uint32_t>(tors++);
+    if (n.kind == NodeKind::Core)
+      ord_[n.id.value()] = static_cast<std::uint32_t>(cores_++);
+  }
+
+  // Switch neighbours in higher (up) and lower (down) layers, sorted by id.
+  // Only the up lists outlive the constructor; the down lists just feed the
+  // two tables.
+  std::vector<std::vector<Edge>> up(t.node_count()), down(t.node_count());
+  const auto by_id = [](const Edge& a, const Edge& b) {
+    return a.node < b.node;
+  };
   for (const Node& n : t.nodes()) {
     if (n.kind == NodeKind::Host) continue;
     const int layer = layer_of(n.kind);
-    auto& up = up_[n.id.value()];
-    auto& down = down_[n.id.value()];
     for (const LinkId l : t.out_links(n.id)) {
       const Node& peer = t.node(t.link(l).dst);
       if (peer.kind == NodeKind::Host) continue;
       const int peer_layer = layer_of(peer.kind);
+      const Edge e{peer.id, l, ord_[peer.id.value()]};
       if (peer_layer > layer)
-        up.push_back(Edge{peer.id, l});
+        up[n.id.value()].push_back(e);
       else if (peer_layer < layer)
-        down.push_back(Edge{peer.id, l});
+        down[n.id.value()].push_back(e);
       if (peer_layer != layer + 1 && peer_layer != layer - 1)
-        strict_ = false;  // layer-skipping cable: three-shape proof void
+        strict_ = false;
     }
-    // Sorted by neighbour id so nested iteration yields candidates in
-    // exactly the enumerator's post-sort (lexicographic) order.
-    const auto by_id = [](const Edge& a, const Edge& b) {
-      return a.node < b.node;
-    };
-    std::sort(up.begin(), up.end(), by_id);
-    std::sort(down.begin(), down.end(), by_id);
+    std::sort(up[n.id.value()].begin(), up[n.id.value()].end(), by_id);
+    std::sort(down[n.id.value()].begin(), down[n.id.value()].end(), by_id);
   }
-}
+  // A core below which both a ToR and an agg over a ToR hang admits 3-hop
+  // paths, which the tables do not generate (an agg's down list holds only
+  // ToRs, hosts being left out). No fabric in builders.h has one.
+  for (const NodeId c : t.cores()) {
+    bool tor = false, agg_over_tor = false;
+    for (const Edge& e : down[c.value()]) {
+      if (t.node(e.node).kind == NodeKind::Tor)
+        tor = true;
+      else if (!down[e.node.value()].empty())
+        agg_over_tor = true;
+    }
+    DCN_CHECK_MSG(!(tor && agg_over_tor), "3-hop path shapes unsupported");
+  }
 
-// Candidates are generated shortest-shape-first and lexicographically
-// within a shape, so no sort is ever needed: 2-hop turn switches ascend by
-// id, then 4-hop (a, c, a') triples ascend in nested order. Each candidate
-// costs O(1) (one hash probe for the final hop's existence); materializing
-// an accepted path is O(path length).
-template <class Visit>
-void PathGenerator::for_each(NodeId s, NodeId d, Visit&& visit) const {
-  if (!strict_) {
-    // Layer-skipping cables admit path shapes beyond the three the fast
-    // walker generates (e.g. a 3-hop tor->agg->core->tor alongside 2- and
-    // 4-hop ones), so delegate to the reference enumerator — whose output
-    // order is this class's contract anyway.
-    for (const Path& p : enumerate_tor_paths(*topo_, s, d)) {
-      if (!visit(p.nodes.data(), p.links.data(),
-                 static_cast<int>(p.links.size())))
-        return;
-    }
-    return;
+  up_begin_.reserve(t.node_count() + 1);
+  up_begin_.push_back(0);
+  for (const auto& list : up) {
+    ups_.insert(ups_.end(), list.begin(), list.end());
+    up_begin_.push_back(static_cast<std::uint32_t>(ups_.size()));
   }
-  const auto& su = up_[s.value()];
-  for (const Edge& m : su) {
-    const LinkId last = topo_->find_link(m.node, d);
-    if (!last.valid()) continue;
-    const NodeId nodes[3] = {s, m.node, d};
-    const LinkId links[2] = {m.link, last};
-    if (!visit(nodes, links, 2)) return;
+
+  // feeds(d): every switch with a down-cable to ToR d. Visiting switches in
+  // id order appends each list already sorted.
+  std::vector<std::vector<Edge>> feed_lists(tors);
+  for (const Node& n : t.nodes())
+    for (const Edge& e : down[n.id.value()])
+      if (t.node(e.node).kind == NodeKind::Tor)
+        feed_lists[ord_[e.node.value()]].push_back(Edge{n.id, e.link, 0});
+  feed_begin_.reserve(tors + 1);
+  feed_begin_.push_back(0);
+  for (const auto& list : feed_lists) {
+    feeds_.insert(feeds_.end(), list.begin(), list.end());
+    feed_begin_.push_back(static_cast<std::uint32_t>(feeds_.size()));
   }
-  for (const Edge& a : su) {
-    for (const Edge& c : up_[a.node.value()]) {
-      for (const Edge& ap : down_[c.node.value()]) {
-        // Descending back through the up-switch would make the walk
-        // non-simple (the enumerator's `contains` check); everything else
-        // is layer-separated from the prefix by construction.
-        if (ap.node == a.node) continue;
-        const LinkId last = topo_->find_link(ap.node, d);
-        if (!last.valid()) continue;
-        const NodeId nodes[5] = {s, a.node, c.node, ap.node, d};
-        const LinkId links[4] = {a.link, c.link, ap.link, last};
-        if (!visit(nodes, links, 4)) return;
-      }
-    }
-  }
+
+  // drops(d, c), counted then filled. For a fixed core its aggs are visited
+  // in id order, so every (d, c) list comes out sorted by a'.
+  const auto walk_drops = [&](auto&& emit) {
+    for (const NodeId c : t.cores())
+      for (const Edge& ap : down[c.value()])
+        for (const Edge& e : down[ap.node.value()])
+          if (t.node(e.node).kind == NodeKind::Tor)
+            emit(static_cast<std::size_t>(ord_[e.node.value()]) * cores_ +
+                     ord_[c.value()],
+                 Drop{ap.node, ap.link, e.link});
+  };
+  drop_begin_.assign(tors * cores_ + 1, 0);
+  walk_drops([&](std::size_t slot, const Drop&) { ++drop_begin_[slot + 1]; });
+  for (std::size_t i = 1; i < drop_begin_.size(); ++i)
+    drop_begin_[i] += drop_begin_[i - 1];
+  drops_.resize(drop_begin_.back());
+  std::vector<std::uint32_t> cursor(drop_begin_.begin(),
+                                    drop_begin_.end() - 1);
+  walk_drops(
+      [&](std::size_t slot, const Drop& p) { drops_[cursor[slot]++] = p; });
 }
 
 std::size_t PathGenerator::count(NodeId src_tor, NodeId dst_tor) const {
   DCN_CHECK(topo_->node(src_tor).kind == NodeKind::Tor);
   DCN_CHECK(topo_->node(dst_tor).kind == NodeKind::Tor);
   if (src_tor == dst_tor) return 1;
+  const std::uint32_t* const row = drop_row(dst_tor);
+  const Edge* f = feeds_begin(dst_tor);
+  const Edge* const fe = feeds_end(dst_tor);
   std::size_t n = 0;
-  for_each(src_tor, dst_tor, [&](const NodeId*, const LinkId*, int) {
-    ++n;
-    return true;
-  });
+  for (const Edge *a = up_begin(src_tor), *ae = up_end(src_tor); a != ae;
+       ++a) {
+    const Edge* const cb = up_begin(a->node);
+    const Edge* const ce = up_end(a->node);
+    std::size_t drops = 0;
+    for (const Edge* c = cb; c != ce; ++c)
+      drops += row[c->ord + 1] - row[c->ord];
+    // A feeding a is its own 2-hop turn and sits once in each of its
+    // cores' drop lists (full-duplex cables), where it is not a 4-hop path.
+    n += feeds(f, fe, a->node) ? 1 + drops - static_cast<std::size_t>(ce - cb)
+                               : drops;
+  }
   return n;
 }
 
@@ -100,36 +143,73 @@ Path PathGenerator::path(NodeId src_tor, NodeId dst_tor,
     out.nodes.push_back(src_tor);
     return out;
   }
-  std::size_t i = 0;
-  for_each(src_tor, dst_tor,
-           [&](const NodeId* nodes, const LinkId* links, int hops) {
-             if (i++ != index) return true;
-             out.nodes.assign(nodes, nodes + hops + 1);
-             out.links.assign(links, links + hops);
-             return false;
-           });
-  DCN_CHECK_MSG(!out.nodes.empty(), "path index out of range");
+  const Edge* const ub = up_begin(src_tor);
+  const Edge* const ue = up_end(src_tor);
+  const Edge* const fb = feeds_begin(dst_tor);
+  const Edge* const fe = feeds_end(dst_tor);
+  std::size_t i = index;
+  const Edge* f = fb;
+  for (const Edge* m = ub; m != ue; ++m) {
+    if (!feeds(f, fe, m->node) || i-- != 0) continue;
+    out.nodes = {src_tor, m->node, dst_tor};
+    out.links = {m->link, f->link};
+    return out;
+  }
+  // Skip whole (a, c) blocks by size; walk only the block holding i.
+  const std::uint32_t* const row = drop_row(dst_tor);
+  f = fb;
+  for (const Edge* a = ub; a != ue; ++a) {
+    const std::size_t own = feeds(f, fe, a->node) ? 1 : 0;
+    for (const Edge *c = up_begin(a->node), *ce = up_end(a->node); c != ce;
+         ++c) {
+      const std::size_t size = row[c->ord + 1] - row[c->ord] - own;
+      if (i >= size) {
+        i -= size;
+        continue;
+      }
+      for (const Drop* p = drops_.data() + row[c->ord];; ++p) {
+        if (p->agg == a->node) continue;
+        if (i-- != 0) continue;
+        out.nodes = {src_tor, a->node, c->node, p->agg, dst_tor};
+        out.links = {a->link, c->link, p->down, p->last};
+        return out;
+      }
+    }
+  }
+  DCN_CHECK_MSG(false, "path index out of range");
   return out;
 }
 
+// Paths come out shortest-shape-first and lexicographically within a
+// shape, so no sort is needed: 2-hop turn switches ascend by id, then 4-hop
+// (a, c, a') triples ascend in nested order.
 std::vector<Path> PathGenerator::all(NodeId src_tor, NodeId dst_tor) const {
   DCN_CHECK(topo_->node(src_tor).kind == NodeKind::Tor);
   DCN_CHECK(topo_->node(dst_tor).kind == NodeKind::Tor);
+  if (src_tor == dst_tor) return {path(src_tor, dst_tor, 0)};
   std::vector<Path> out;
-  if (src_tor == dst_tor) {
-    Path p;
-    p.nodes.push_back(src_tor);
-    out.push_back(std::move(p));
-    return out;
+  const Edge* const ue = up_end(src_tor);
+  const Edge* const fe = feeds_end(dst_tor);
+  const Edge* f = feeds_begin(dst_tor);
+  for (const Edge* m = up_begin(src_tor); m != ue; ++m) {
+    if (feeds(f, fe, m->node))
+      out.push_back({{src_tor, m->node, dst_tor}, {m->link, f->link}});
   }
-  for_each(src_tor, dst_tor,
-           [&](const NodeId* nodes, const LinkId* links, int hops) {
-             Path p;
-             p.nodes.assign(nodes, nodes + hops + 1);
-             p.links.assign(links, links + hops);
-             out.push_back(std::move(p));
-             return true;
-           });
+  const std::uint32_t* const row = drop_row(dst_tor);
+  for (const Edge* a = up_begin(src_tor); a != ue; ++a) {
+    for (const Edge *c = up_begin(a->node), *ce = up_end(a->node); c != ce;
+         ++c) {
+      for (const Drop *p = drops_.data() + row[c->ord],
+                      *pe = drops_.data() + row[c->ord + 1];
+           p != pe; ++p) {
+        // Descending back through the up-switch would make the walk
+        // non-simple (the enumerator's `contains` check).
+        if (p->agg == a->node) continue;
+        out.push_back({{src_tor, a->node, c->node, p->agg, dst_tor},
+                       {a->link, c->link, p->down, p->last}});
+      }
+    }
+  }
   return out;
 }
 

@@ -1,9 +1,9 @@
-// Lazy, index-addressed valley-free path materialization.
+// Index-addressed valley-free paths.
 //
 // The hierarchical structure the paper's addressing scheme encodes (§3)
-// means a ToR-to-ToR path never needs to be *stored*: it can be computed
-// from the (src, dst) pair and a path index. In the layered topologies here
-// (hosts below ToRs below aggregation below core — see layer_of) every
+// means a ToR-to-ToR path never needs to be *stored*: it is a function of
+// the (src ToR, dst ToR) pair and a path index. In the layered topologies
+// here (hosts below ToRs below aggregation below core — see layer_of) every
 // valley-free simple ToR path has one of exactly three shapes:
 //
 //   0 hops   [s]                     src == dst
@@ -12,24 +12,50 @@
 //
 // (A strictly-up-then-strictly-down walk of any other length cannot start
 // and end on the ToR layer, and a 4-hop walk revisiting its up-switch is
-// excluded by the enumerator's simplicity check.) PathGenerator precomputes
-// id-sorted one-layer adjacency once per topology and then materializes
-// "path i of (s, d)" in O(path length) — no per-pair state at all. The
-// generation order is *identical* to enumerate_tor_paths (shortest first,
-// then lexicographic by node ids), which tests/lazy_paths_test.cc pins, so
-// schedulers, traces and md5-pinned results are unaffected by who produced
-// the path set.
+// excluded by the enumerator's simplicity check.) The generation order is
+// *identical* to enumerate_tor_paths (shortest first, then lexicographic by
+// node ids), which tests/lazy_paths_test.cc pins, so schedulers, traces and
+// md5-pinned results are unaffected by who produced a path.
 //
-// The three-shape argument holds only on *strict* fabrics, where every
-// switch-switch cable spans exactly one layer. The constructor checks that
-// property once; on a fabric with layer-skipping cables (leaf-spine's
-// ToR <-> core links) the generator transparently falls back to the
-// reference recursive enumeration, so count/path/all keep the exact same
-// contract — order and contents identical to enumerate_tor_paths — at
-// enumeration cost, which the PathRepository LRU amortizes per ToR pair.
+// The constructor builds two id-ordered tables once per fabric:
+//
+//   feeds(d)     the switches m with a down-cable to ToR d (aggs; spines on
+//                leaf-spine), each with its m->d link;
+//   drops(d, c)  the aggs a' below core c with a cable to ToR d, each with
+//                its c->a' and a'->d links (the descent table).
+//
+// The 2-hop paths of (s, d) are up(s) ∩ feeds(d), a merge of two sorted
+// lists. The 4-hop paths come in (a, c) blocks, a ∈ up(s) and c ∈ up(a),
+// each block being drops(d, c) less a itself. Since cables are full-duplex,
+// a ∈ drops(d, c) exactly when a feeds d, so
+//
+//   count(s, d) = |up(s) ∩ feeds(d)|
+//               + Σ_{a ∈ up(s)} Σ_{c ∈ up(a)} (|drops(d, c)| − [a feeds d])
+//
+// and path(s, d, i) skips whole blocks by their sizes before materializing
+// one path: O(|up(s)| · |up(a)|) table reads, 256 at k=32, with no hash
+// probe and no per-candidate walk. all() walks the same tables. At k=32 the
+// tables take ~2 MB (one drop per (ToR, core) pair on a fat tree).
+//
+// Flow placement and installation therefore need no path set: agents hash
+// or draw into count(s, d) and the substrate builds path(s, d, i). Whole
+// sets are built only for callers that hold them, through PathRepository's
+// LRU (paths.h): DARD monitors, which pin a set across simulated time and
+// share it per ToR pair, and Hedera's round, which pins one set per pair
+// because a round over every live elephant can look up more pairs than the
+// cache holds.
+//
+// The three-shape argument holds on *strict* fabrics, where every
+// switch-switch cable spans exactly one layer. A layer-skipping ToR <-> core
+// cable adds no shape as long as its core has no agg with a ToR below it —
+// leaf-spine's spines reach only leaves, so its paths are all [s, spine, d]
+// and the same tables serve it. Only a core cabled both to a ToR and to an
+// agg above a ToR admits 3-hop paths (tor-agg-core-tor, tor-core-agg-tor).
+// No fabric in builders.h has one, and the constructor rejects one.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "topology/paths.h"
@@ -53,26 +79,52 @@ class PathGenerator {
 
   [[nodiscard]] const Topology& topology() const { return *topo_; }
 
-  // True when every switch-switch cable spans exactly one layer, enabling
-  // the O(path length) three-shape fast path.
+  // True when every switch-switch cable spans exactly one layer (false on
+  // leaf-spine). Informational only: both kinds of fabric use the tables.
   [[nodiscard]] bool strict_layering() const { return strict_; }
 
  private:
   struct Edge {
-    NodeId node;  // neighbour strictly above (up_) or below (down_)
-    LinkId link;  // directed link towards it
+    NodeId node;        // neighbour above (or the switch feeding a ToR)
+    LinkId link;        // directed link from the lower to the upper node
+    std::uint32_t ord;  // the neighbour's core ordinal (up-edges of aggs)
   };
-
-  // Shared walker: calls visit(nodes, links) for every path in order until
-  // it returns false. The arrays exclude the trailing (m->d / a'->d) hop,
-  // which visit receives separately.
-  template <class Visit>
-  void for_each(NodeId s, NodeId d, Visit&& visit) const;
+  struct Drop {
+    NodeId agg;    // a'
+    LinkId down;   // c -> a'
+    LinkId last;   // a' -> d
+  };
+  [[nodiscard]] const Edge* up_begin(NodeId n) const {
+    return ups_.data() + up_begin_[n.value()];
+  }
+  [[nodiscard]] const Edge* up_end(NodeId n) const {
+    return ups_.data() + up_begin_[n.value() + 1];
+  }
+  [[nodiscard]] const Edge* feeds_begin(NodeId tor) const {
+    return feeds_.data() + feed_begin_[ord_[tor.value()]];
+  }
+  [[nodiscard]] const Edge* feeds_end(NodeId tor) const {
+    return feeds_.data() + feed_begin_[ord_[tor.value()] + 1];
+  }
+  // drop_begin_ row of ToR d: entry k .. k+1 bounds drops(d, core k).
+  [[nodiscard]] const std::uint32_t* drop_row(NodeId tor) const {
+    return drop_begin_.data() +
+           static_cast<std::size_t>(ord_[tor.value()]) * cores_;
+  }
 
   const Topology* topo_;
-  bool strict_ = true;                   // all switch cables span one layer
-  std::vector<std::vector<Edge>> up_;    // by node id, sorted by node id
-  std::vector<std::vector<Edge>> down_;  // switch neighbours only
+  bool strict_ = true;  // all switch cables span one layer
+  // Per node id: the ToR ordinal of a ToR or the core ordinal of a core.
+  std::vector<std::uint32_t> ord_;
+  std::size_t cores_ = 0;
+  // CSR adjacency, all lists sorted by neighbour id so nested iteration
+  // yields candidates in exactly the enumerator's lexicographic order.
+  std::vector<std::uint32_t> up_begin_;    // by node id, node_count + 1
+  std::vector<Edge> ups_;
+  std::vector<std::uint32_t> feed_begin_;  // by ToR ordinal, tors + 1
+  std::vector<Edge> feeds_;
+  std::vector<std::uint32_t> drop_begin_;  // by (ToR, core), tors*cores + 1
+  std::vector<Drop> drops_;
 };
 
 }  // namespace dard::topo

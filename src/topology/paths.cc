@@ -137,10 +137,11 @@ std::vector<std::uint64_t> capacity_weights(const Topology& t,
   return w;
 }
 
-void WeightedPathSelector::attach(const Topology& t) {
-  topo_ = &t;
+void WeightedPathSelector::attach(const PathGenerator& gen) {
+  gen_ = &gen;
   cache_.clear();
   uniform_ = true;
+  const Topology& t = gen.topology();
   Bps seen = 0;
   for (std::size_t i = 0; i < t.link_count(); ++i) {
     const LinkId l{static_cast<LinkId::value_type>(i)};
@@ -156,29 +157,31 @@ void WeightedPathSelector::attach(const Topology& t) {
 }
 
 const std::vector<std::uint64_t>& WeightedPathSelector::weights(
-    NodeId src_tor, NodeId dst_tor, const std::vector<Path>& paths) {
-  DCN_CHECK(topo_ != nullptr);
+    NodeId src_tor, NodeId dst_tor) {
+  DCN_CHECK(gen_ != nullptr);
   const std::uint64_t key = (static_cast<std::uint64_t>(src_tor.value()) << 32) |
                             dst_tor.value();
   auto it = cache_.find(key);
   if (it == cache_.end())
-    it = cache_.emplace(key, capacity_weights(*topo_, paths)).first;
+    it = cache_
+             .emplace(key, capacity_weights(gen_->topology(),
+                                            gen_->all(src_tor, dst_tor)))
+             .first;
   return it->second;
 }
 
 PathIndex WeightedPathSelector::pick(NodeId src_host, NodeId dst_host,
                                      std::uint16_t src_port,
                                      std::uint16_t dst_port,
-                                     const std::vector<Path>& paths) {
-  DCN_CHECK(topo_ != nullptr);
-  DCN_CHECK(!paths.empty());
-  if (uniform_ || paths.size() < 2)
-    return ecmp_path_index(src_host, dst_host, src_port, dst_port,
-                           paths.size());
-  const NodeId src_tor = topo_->tor_of_host(src_host);
-  const NodeId dst_tor = topo_->tor_of_host(dst_host);
-  return weighted_path_index(src_host, dst_host, src_port, dst_port,
-                             weights(src_tor, dst_tor, paths));
+                                     std::size_t count) {
+  DCN_CHECK(gen_ != nullptr);
+  DCN_CHECK(count > 0);
+  if (uniform_ || count < 2)
+    return ecmp_path_index(src_host, dst_host, src_port, dst_port, count);
+  const Topology& t = gen_->topology();
+  return weighted_path_index(
+      src_host, dst_host, src_port, dst_port,
+      weights(t.tor_of_host(src_host), t.tor_of_host(dst_host)));
 }
 
 namespace {

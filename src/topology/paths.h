@@ -6,10 +6,12 @@
 // higher layer while ascending and a strictly lower one while descending,
 // without assuming adjacent layers — so the same code serves fat-tree,
 // Clos, the 3-tier topology and the leaf-spine fabric whose leaf <-> spine
-// cables skip the aggregation layer. A PathRepository memoizes hot
-// per-ToR-pair path sets behind a bounded LRU; sets are materialized on
-// demand by the lazy PathGenerator (path_gen.h) instead of being stored
-// for every pair, so repository memory is O(capacity), not O(#ToR pairs).
+// cables skip the aggregation layer. Production code addresses paths by
+// (src ToR, dst ToR, index) through PathGenerator (path_gen.h), which builds
+// one path without its set; a PathRepository memoizes whole per-pair sets
+// behind a bounded LRU for the callers that hold them (DARD monitors,
+// Hedera's rounds, TeXCP probes, the game analysis), so repository memory
+// is O(capacity), not O(#ToR pairs).
 #pragma once
 
 #include <cstdint>
@@ -58,50 +60,59 @@ struct Path {
 [[nodiscard]] std::vector<std::uint64_t> capacity_weights(
     const Topology& t, const std::vector<Path>& paths);
 
+class PathGenerator;
+
 // Per-ToR-pair cache of capacity weights plus the uniform-capacity fast
 // path shared by every weighted-cost policy (WCMP, weighted pVLB/Hedera,
 // DARD's weighted initial placement). attach() scans the fabric once: on a
-// uniform-capacity fabric pick() is exactly ecmp_path_index — same hash,
-// same reduction, no weight computation — so enabling a weighted policy on
-// a symmetric topology changes nothing.
+// uniform-capacity fabric pick() is exactly ecmp_path_index over the pair's
+// path count — same hash, same reduction, no weight computation and no path
+// built — so enabling a weighted policy on a symmetric topology changes
+// nothing.
 class WeightedPathSelector {
  public:
-  void attach(const Topology& t);
+  // Binds the selector to a fabric's generator, which must outlive it.
+  void attach(const PathGenerator& gen);
 
-  [[nodiscard]] bool attached() const { return topo_ != nullptr; }
+  [[nodiscard]] bool attached() const { return gen_ != nullptr; }
   // True when every switch-switch link has the same capacity (weights would
   // all be equal, so weighted selection degenerates to ECMP).
   [[nodiscard]] bool uniform_capacity() const { return uniform_; }
 
-  // Cached capacity weights for this ToR pair's path set (computed on first
-  // use; `paths` must be the pair's path set in enumeration order).
-  [[nodiscard]] const std::vector<std::uint64_t>& weights(
-      NodeId src_tor, NodeId dst_tor, const std::vector<Path>& paths);
+  // Capacity weights of this ToR pair's paths in index order, computed from
+  // the generator on first use and cached.
+  [[nodiscard]] const std::vector<std::uint64_t>& weights(NodeId src_tor,
+                                                          NodeId dst_tor);
 
-  // Capacity-weighted five-tuple path pick for a flow between two hosts.
+  // Capacity-weighted five-tuple pick among the `count` paths between the
+  // hosts' ToRs.
   [[nodiscard]] PathIndex pick(NodeId src_host, NodeId dst_host,
                                std::uint16_t src_port, std::uint16_t dst_port,
-                               const std::vector<Path>& paths);
+                               std::size_t count);
 
  private:
-  const Topology* topo_ = nullptr;
+  const PathGenerator* gen_ = nullptr;
   bool uniform_ = true;
   std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> cache_;
 };
-
-class PathGenerator;
 
 // Bounded LRU cache of materialized path sets, keyed by (src, dst) ToR
 // pair. The table is a flat open-addressed hash (packed 64-bit key, linear
 // probing, backward-shift deletion) — the hit path is a couple of cache
 // lines, no tree walk, no allocation.
 //
+// Flow placement and path installation never come here: they need one
+// path or a count, which the generator computes from its tables. The cache
+// serves holders of whole sets, and a monitor's set is shared by every
+// monitor of the same ToR pair.
+//
 // Reference validity: the const reference returned by tor_paths() stays
 // valid until `capacity()` *other* distinct pairs have been looked up (only
-// then can the entry be evicted). That covers every bounded scope in the
-// schedulers; anything that holds a path set across simulated time (e.g. a
-// DARD PathMonitor) must hold the shared_ptr from pinned() instead, which
-// keeps the set alive across eviction.
+// then can the entry be evicted). Anything that holds a set across
+// simulated time (a DARD PathMonitor) or across lookups of many pairs (a
+// Hedera round, which may touch more pairs than the cache holds) must hold
+// the shared_ptr from pinned() instead, which keeps the set alive across
+// eviction.
 class PathRepository {
  public:
   // Default capacity covers every ordered ToR pair of a k=8 fat tree

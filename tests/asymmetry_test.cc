@@ -133,8 +133,8 @@ TEST(Asymmetry, AdvertisedOversubscriptionMatchesCabledCapacity) {
 }
 
 // Mirror of LazyPaths.MatchesEnumeration* on every asymmetric fixture.
-// The leaf-spine fabrics exercise the non-strict (layer-skipping) fallback
-// inside PathGenerator::for_each.
+// The leaf-spine fabrics exercise the tables on layer-skipping
+// (ToR <-> core) cables.
 TEST(Asymmetry, GeneratorMatchesEnumerationOnAsymmetricFixtures) {
   for (const Topology& t : asymmetric_fixtures()) {
     const PathGenerator gen(t);
@@ -240,13 +240,15 @@ TEST(Asymmetry, WeightedPathIndexSplitsProportionally) {
 
 TEST(Asymmetry, SelectorDetectsUniformityAndMatchesEcmp) {
   const Topology uniform = build_fat_tree({.p = 4});
+  const PathGenerator gen(uniform);
   WeightedPathSelector sel;
-  sel.attach(uniform);
+  sel.attach(gen);
   EXPECT_TRUE(sel.uniform_capacity());
 
   const Topology skewed = build_fat_tree(skewed_params());
+  const PathGenerator skew_gen(skewed);
   WeightedPathSelector skew_sel;
-  skew_sel.attach(skewed);
+  skew_sel.attach(skew_gen);
   EXPECT_FALSE(skew_sel.uniform_capacity());
 
   // Uniform fabric: pick() must be exactly the pinned ECMP decision.
@@ -254,7 +256,7 @@ TEST(Asymmetry, SelectorDetectsUniformityAndMatchesEcmp) {
   const auto paths = enumerate_tor_paths(uniform, uniform.tor_of_host(src),
                                          uniform.tor_of_host(dst));
   for (std::uint16_t port = 1; port < 100; ++port)
-    EXPECT_EQ(sel.pick(src, dst, port, 80, paths),
+    EXPECT_EQ(sel.pick(src, dst, port, 80, paths.size()),
               ecmp_path_index(src, dst, port, 80, paths.size()));
 }
 

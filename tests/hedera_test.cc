@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
 #include "baselines/hedera.h"
+#include "common/rng.h"
 #include "flowsim/simulator.h"
 #include "topology/builders.h"
 
@@ -167,6 +171,46 @@ TEST(HederaAgentTest, ManyFlowsReachNearOptimalAssignment) {
   // collision at most).
   EXPECT_GE(total_rate, 3 * kGbps);
   sim.run_until(100000.0);
+}
+
+TEST(HederaAgentTest, RoundSpanningMoreToRPairsThanThePathCacheHolds) {
+  // Two elephants per host to random hosts on other ToRs of a k=16 fat tree
+  // (128 ToRs): the t=2 s round schedules flows over more distinct ToR
+  // pairs than the repository's LRU holds, so it must keep every pair's set
+  // alive across the evictions its own lookups cause.
+  const Topology t = build_fat_tree({.p = 16});
+  // Batched reallocation keeps 2048 simultaneous flows cheap to simulate.
+  flowsim::SimConfig sim_cfg;
+  sim_cfg.realloc_interval = 0.01;
+  FlowSimulator sim(t, sim_cfg);
+  HederaConfig cfg;
+  cfg.interval = 2.0;
+  HederaAgent agent(cfg);
+  sim.set_agent(&agent);
+
+  Rng rng(3);
+  const auto& hosts = t.hosts();
+  std::set<std::pair<NodeId, NodeId>> pairs;
+  std::uint16_t port = 1;
+  for (const NodeId src : hosts) {
+    for (int n = 0; n < 2; ++n) {
+      NodeId dst;
+      do {
+        dst = hosts[rng.next_below(hosts.size())];
+      } while (t.tor_of_host(dst) == t.tor_of_host(src));
+      pairs.emplace(t.tor_of_host(src), t.tor_of_host(dst));
+      // 400 MB: alive (and an elephant) at the first round even at full
+      // NIC rate, done a few rounds later.
+      sim.submit(make_spec(src, dst, 400'000'000, 0.0, port++));
+    }
+  }
+  ASSERT_GT(pairs.size(), topo::PathRepository::kDefaultCapacity);
+
+  sim.run_until(2.5);
+  EXPECT_EQ(agent.rounds_run(), 1u);
+  EXPECT_EQ(sim.active_elephants(), sim.submitted_flows());
+  sim.run_until_flows_done();
+  EXPECT_EQ(sim.finished_flows(), sim.submitted_flows());
 }
 
 }  // namespace

@@ -1,12 +1,28 @@
-// Pins the lazy-path tentpole contracts (DESIGN.md §14):
+// Pins the index-addressed path layer's contracts (DESIGN.md §14):
 //  * PathGenerator emits exactly the reference enumeration — same count,
 //    same order, same nodes and links, for every path index of every ToR
 //    pair, on all three evaluation topologies;
+//  * a fabric with 3-hop path shapes, which the tables cannot generate, is
+//    refused at construction;
+//  * at k=16/32, where enumeration is too slow to serve as the reference,
+//    count, path(i) and all() agree with each other, every path is a valid
+//    valley-free walk, the order is strictly (length, node ids), and the
+//    fat-tree counts are (k/2)^2, k/2 and 1;
+//  * flow arrivals build no path set: ECMP, pVLB and uniform WCMP place and
+//    install flows without one cache entry, and DARD builds at most one set
+//    per monitor it creates;
 //  * PathRepository's bounded LRU evicts only least-recently-used pairs,
 //    keeps serving correct sets across eviction, reports its size through
 //    the PathCacheEntries gauge, and pinned() handles outlive eviction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
+
+#include "baselines/ecmp.h"
+#include "common/rng.h"
+#include "dard/dard_agent.h"
+#include "flowsim/simulator.h"
 #include "obs/profiler.h"
 #include "topology/builders.h"
 #include "topology/path_gen.h"
@@ -65,6 +81,15 @@ TEST(LazyPaths, MatchesEnumerationThreeTier) {
   check_generator_matches_enumeration(build_three_tier({}));
 }
 
+TEST(LazyPathsDeathTest, RejectsThreeHopShapes) {
+  // A ToR cabled straight to a core that also sits over aggs admits
+  // tor-agg-core-tor and tor-core-agg-tor paths, which the tables do not
+  // generate: the generator must refuse the fabric rather than omit them.
+  Topology t = build_fat_tree({.p = 4});
+  t.add_cable(t.tors().front(), t.cores().front(), 1 * kGbps, 0.0001);
+  EXPECT_DEATH((void)PathGenerator(t), "3-hop path shapes unsupported");
+}
+
 TEST(LazyPaths, PathCountsMatchPaperFormulas) {
   const Topology ft = build_fat_tree({.p = 8});
   const PathGenerator gen(ft);
@@ -74,6 +99,151 @@ TEST(LazyPaths, PathCountsMatchPaperFormulas) {
   const PathGenerator cgen(clos);
   EXPECT_EQ(cgen.count(clos.tors().front(), clos.tors().back()),
             static_cast<std::size_t>(clos_inter_pod_paths(4)));
+}
+
+bool precedes(const Path& a, const Path& b) {
+  if (a.links.size() != b.links.size()) return a.links.size() < b.links.size();
+  return std::lexicographical_compare(a.nodes.begin(), a.nodes.end(),
+                                      b.nodes.begin(), b.nodes.end());
+}
+
+// A simple valley-free walk from s to d whose links join its nodes.
+void expect_valid_path(const Topology& t, const Path& p, NodeId s, NodeId d) {
+  ASSERT_EQ(p.nodes.size(), p.links.size() + 1);
+  EXPECT_EQ(p.nodes.front(), s);
+  EXPECT_EQ(p.nodes.back(), d);
+  bool descending = false;
+  for (std::size_t h = 0; h < p.links.size(); ++h) {
+    const Link& l = t.link(p.links[h]);
+    EXPECT_EQ(l.src, p.nodes[h]);
+    EXPECT_EQ(l.dst, p.nodes[h + 1]);
+    const bool up = layer_of(t.node(l.dst).kind) > layer_of(t.node(l.src).kind);
+    EXPECT_FALSE(up && descending) << "valley at hop " << h;
+    descending = descending || !up;
+    for (std::size_t g = 0; g <= h; ++g) EXPECT_NE(p.nodes[g], p.nodes[h + 1]);
+  }
+}
+
+// ~200 seeded pairs per fabric: same ToR, intra-pod and inter-pod.
+std::vector<std::pair<NodeId, NodeId>> sample_pairs(const Topology& t,
+                                                    std::uint64_t seed) {
+  const auto& tors = t.tors();
+  Rng rng(seed);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  std::size_t same = 0, intra = 0, inter = 0;
+  while (same + intra + inter < 200) {
+    const NodeId s = tors[rng.next_below(tors.size())];
+    const NodeId d = tors[rng.next_below(tors.size())];
+    const bool same_pod = t.node(s).pod == t.node(d).pod;
+    if (s == d) {
+      if (same == 20) continue;
+      ++same;
+    } else if (same_pod) {
+      if (intra == 60) continue;
+      ++intra;
+    } else {
+      if (inter == 120) continue;
+      ++inter;
+    }
+    pairs.emplace_back(s, d);
+  }
+  return pairs;
+}
+
+void check_index_addressing(const Topology& t, bool fat_tree, int p) {
+  const PathGenerator gen(t);
+  ASSERT_TRUE(gen.strict_layering());
+  const std::size_t half = static_cast<std::size_t>(p / 2);
+  for (const auto& [s, d] : sample_pairs(t, static_cast<std::uint64_t>(p))) {
+    const std::vector<Path> all = gen.all(s, d);
+    ASSERT_EQ(gen.count(s, d), all.size())
+        << "pair (" << s.value() << "," << d.value() << ")";
+    if (fat_tree) {
+      EXPECT_EQ(all.size(), s == d                              ? 1
+                            : t.node(s).pod == t.node(d).pod ? half
+                                                              : half * half);
+    }
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      expect_same_path(all[i], gen.path(s, d, i), s, d, i);
+      expect_valid_path(t, all[i], s, d);
+      if (i > 0) {
+        EXPECT_TRUE(precedes(all[i - 1], all[i])) << "order at " << i;
+      }
+    }
+  }
+}
+
+TEST(LazyPaths, IndexAddressingAgreesAtLargeK) {
+  check_index_addressing(build_fat_tree({.p = 16}), true, 16);
+  check_index_addressing(build_fat_tree({.p = 32}), true, 32);
+  FatTreeParams skewed_stripped{.p = 16};
+  skewed_stripped.core_capacities = {1 * kGbps, 4 * kGbps};
+  skewed_stripped.stripped_pods = 2;
+  skewed_stripped.stripped_pod_uplinks = 3;
+  check_index_addressing(build_fat_tree(skewed_stripped), false, 16);
+}
+
+struct ArrivalRun {
+  std::size_t sets_built = 0;  // PathEnumeration samples: cache misses
+  std::size_t cache_entries = 0;
+};
+
+// Runs a mixed mice/elephant workload over a k=8 fat tree with the
+// profiler on. The agent is spent afterwards (its network is gone).
+ArrivalRun run_arrivals(fabric::ControlAgent& agent) {
+  const Topology t = build_fat_tree({.p = 8});
+  flowsim::FlowSimulator sim(t);
+  obs::Profiler profiler;
+  sim.set_profiler(&profiler);
+  sim.set_agent(&agent);
+  Rng rng(5);
+  const auto& hosts = t.hosts();
+  for (std::uint16_t i = 0; i < 400; ++i) {
+    flowsim::FlowSpec spec;
+    spec.src_host = hosts[rng.next_below(hosts.size())];
+    do {
+      spec.dst_host = hosts[rng.next_below(hosts.size())];
+    } while (spec.dst_host == spec.src_host);
+    // One flow in eight lives past the 1 s elephant threshold.
+    spec.size = i % 8 == 0 ? 200'000'000 : 2'000'000;
+    spec.arrival = 0.01 * i;
+    spec.src_port = static_cast<std::uint16_t>(1000 + i);
+    spec.dst_port = 80;
+    sim.submit(spec);
+  }
+  sim.run_until_flows_done();
+  return {profiler.section(obs::ProfileSection::PathEnumeration).count(),
+          sim.paths().cache_entries()};
+}
+
+// DARD wrapper counting the monitors its daemons create (on_elephant
+// creates at most one and never releases any).
+class MonitorCountingDard : public core::DardAgent {
+ public:
+  void on_elephant(fabric::DataPlane& net,
+                   const fabric::FlowView& flow) override {
+    const std::size_t before = live_monitor_count();
+    core::DardAgent::on_elephant(net, flow);
+    created += live_monitor_count() - before;
+  }
+  std::size_t created = 0;
+};
+
+TEST(LazyPaths, ArrivalsBuildNoPathSet) {
+  baselines::EcmpAgent ecmp;
+  baselines::PvlbAgent pvlb(/*repick_interval=*/0.5);
+  baselines::EcmpAgent wcmp(/*weighted=*/true);
+  for (fabric::ControlAgent* agent :
+       std::initializer_list<fabric::ControlAgent*>{&ecmp, &pvlb, &wcmp}) {
+    const ArrivalRun run = run_arrivals(*agent);
+    EXPECT_EQ(run.sets_built, 0u) << agent->name();
+    EXPECT_EQ(run.cache_entries, 0u) << agent->name();
+  }
+
+  MonitorCountingDard dard;
+  const ArrivalRun run = run_arrivals(dard);
+  EXPECT_GT(dard.created, 0u);
+  EXPECT_LE(run.sets_built, dard.created);
 }
 
 TEST(LazyPaths, RepositoryCapsEntriesAndEvictsLru) {
