@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the hot components:
 // longest-prefix forwarding lookups, max-min rate allocation (one-shot,
-// and scoped-vs-full reallocation churn), path enumeration, path encoding
-// and monitor refresh. Results are mirrored to BENCH_micro.json for the
+// and scoped-vs-full reallocation churn), path enumeration, path encoding,
+// and monitor build and refresh. Results are mirrored to BENCH_micro.json for the
 // CI regression gate (bench/check_bench_regression.py).
 #include <benchmark/benchmark.h>
 
@@ -268,6 +268,34 @@ void BM_MonitorRefresh(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MonitorRefresh)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
+
+// What a new DARD monitor costs its host: one PathMonitor built per
+// iteration over a fixed seeded list of inter-pod ToR pairs. CI gates
+// BM_MonitorBuild/32 against BM_MonitorRefresh/32: a build that went back
+// to materializing and deduplicating the pair's whole path set would cost
+// well over the gated multiple of a refresh.
+void BM_MonitorBuild(benchmark::State& state) {
+  const auto t = topo::build_fat_tree({.p = static_cast<int>(state.range(0))});
+  flowsim::FlowSimulator sim(t);
+  baselines::EcmpAgent agent;
+  sim.set_agent(&agent);
+  const auto& tors = t.tors();
+  constexpr std::size_t kPairs = 64;
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  Rng rng(7);
+  while (pairs.size() < kPairs) {
+    const NodeId s = tors[rng.next_below(tors.size())];
+    const NodeId d = tors[rng.next_below(tors.size())];
+    if (t.node(s).pod != t.node(d).pod) pairs.emplace_back(s, d);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [s, d] = pairs[i++ % kPairs];
+    core::PathMonitor monitor(sim, s, d);
+    benchmark::DoNotOptimize(monitor.queried_switches().data());
+  }
+}
+BENCHMARK(BM_MonitorBuild)->Arg(8)->Arg(32);
 
 }  // namespace
 

@@ -96,11 +96,13 @@ void DardAgent::on_daemon_restart(DataPlane& net, NodeId host) {
   if (d != nullptr && !d->alive()) d->restart();
   if (!deployed(host)) return;
   // Cold-start re-sync: walk the substrate's live flows and re-adopt the
-  // elephants this host sources. Each lands in a freshly created monitor —
-  // built through the ordinary StateQueryService query/retry machinery — so
-  // no elephant registration is double-counted (the crashed incarnation's
-  // monitors are gone, and on_elephant's tracked-map emplace dedups any
-  // flow already re-adopted this incarnation).
+  // elephants this host sources, through the ordinary StateQueryService
+  // query/retry machinery. After a real restart each lands in a freshly
+  // created monitor (the crashed incarnation's monitors are gone). The walk
+  // also runs when the daemon was already up — a restart closing the
+  // second of two overlapping crash windows — and then offers elephants
+  // this incarnation already tracks; on_elephant registers a flow only when
+  // its tracked-map emplace inserts it, so none is counted twice.
   for (const FlowId id : net.active_flows()) {
     const FlowView view = net.flow_view(id);
     if (view.src_host != host || !view.is_elephant) continue;

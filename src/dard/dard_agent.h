@@ -34,7 +34,9 @@ class DardAgent : public fabric::ControlAgent {
   // Agent-fault hooks (faults/injector.h): crash wipes the host's daemon
   // soft state; restart cold-starts it and re-adopts still-live elephants
   // sourced at the host (fresh monitors rebuild path state through the
-  // ordinary StateQueryService retry machinery, so nothing double-counts).
+  // ordinary StateQueryService retry machinery). A restart of a daemon
+  // that is already up re-offers tracked elephants; each is registered
+  // once.
   void on_daemon_crash(fabric::DataPlane& net, NodeId host) override;
   void on_daemon_restart(fabric::DataPlane& net, NodeId host) override;
 

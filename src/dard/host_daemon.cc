@@ -65,6 +65,10 @@ void DardHostDaemon::on_elephant(const FlowView& flow) {
   if (!alive_) return;
   // Intra-ToR elephants have a single trivial path; nothing to monitor.
   if (flow.dst_tor == src_tor_) return;
+  // A restart's re-adopt walk offers every live elephant, including ones
+  // this incarnation already tracks (a restart of a daemon that is already
+  // up); each enters its monitor's FV once.
+  if (!tracked_.emplace(flow.id, flow.dst_tor).second) return;
 
   auto it = monitors_.find(flow.dst_tor);
   if (it == monitors_.end()) {
@@ -76,7 +80,6 @@ void DardHostDaemon::on_elephant(const FlowView& flow) {
     refresh_monitor(it->second, flow.dst_tor);
   }
   it->second.add_flow(flow.id, flow.path_index);
-  tracked_.emplace(flow.id, flow.dst_tor);
   ensure_query_ticking();
   ensure_round_scheduled();
 }

@@ -1,49 +1,84 @@
 #include "dard/monitor.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
+
+#include "topology/path_gen.h"
 
 namespace dard::core {
 
-PathMonitor::PathMonitor(fabric::DataPlane& net, NodeId src_tor,
-                         NodeId dst_tor)
-    : src_tor_(src_tor),
-      dst_tor_(dst_tor),
-      paths_pin_(net.paths().pinned(src_tor, dst_tor)),
-      paths_(paths_pin_.get()),
-      pv_(paths_->size()),
-      fv_(paths_->size()),
-      blacklisted_(paths_->size(), 0),
-      probation_(paths_->size(), 0) {
-  // Switches whose egress ports cover every switch-switch link of every
-  // monitored path; plus the per-path slot lists a refresh assembles from.
-  // Links shared between paths collapse to one slot so each is queried and
-  // cached once per round.
-  std::unordered_set<NodeId> seen;
-  std::unordered_map<std::uint64_t, std::uint32_t> slot_of;
-  const topo::Topology& t = net.topology();
-  path_slots_.reserve(paths_->size());
-  for (const topo::Path& p : *paths_) {
-    auto& slots = path_slots_.emplace_back();
-    for (const LinkId l : p.links) {
-      if (!t.is_switch_switch(l)) continue;
-      const auto [it, inserted] =
-          slot_of.emplace(l.value(), static_cast<std::uint32_t>(slot_links_.size()));
-      if (inserted) slot_links_.push_back(l);
-      slots.push_back(it->second);
-      const NodeId sw = t.link(l).src;
-      if (seen.insert(sw).second) query_set_.push_back(sw);
+namespace {
+
+// Construction scratch shared by the monitors built on one thread: per link
+// id the slot the link was given, per node id the switch's query_set_
+// index. An entry is valid only while its stamp equals the current build's
+// generation, so starting a build clears nothing.
+struct BuildScratch {
+  struct Mark {
+    std::uint32_t gen = 0;
+    std::uint32_t index = 0;
+  };
+  std::vector<Mark> link;
+  std::vector<Mark> node;
+  std::uint32_t gen = 0;
+
+  void begin(const topo::Topology& t) {
+    if (link.size() < t.link_count()) link.resize(t.link_count());
+    if (node.size() < t.node_count()) node.resize(t.node_count());
+    if (++gen == 0) {  // wrapped: a stale stamp could match again
+      std::fill(link.begin(), link.end(), Mark{});
+      std::fill(node.begin(), node.end(), Mark{});
+      gen = 1;
     }
   }
+};
+
+thread_local BuildScratch scratch;
+
+}  // namespace
+
+PathMonitor::PathMonitor(fabric::DataPlane& net, NodeId src_tor,
+                         NodeId dst_tor)
+    : src_tor_(src_tor), dst_tor_(dst_tor) {
+  const topo::PathGenerator& gen = net.paths().generator();
+  const topo::Topology& t = net.topology();
+  const std::size_t count = gen.count(src_tor, dst_tor);
+  pv_.resize(count);
+  fv_.resize(count);
+  blacklisted_.assign(count, 0);
+  probation_.assign(count, 0);
+
+  // One pass over the paths in index order. Links shared between paths
+  // collapse to one slot so each is queried and cached once per round; a
+  // switch joins the query set with the first link it reports. ToR paths
+  // cross only switch-switch links.
+  BuildScratch& s = scratch;
+  s.begin(t);
+  path_begin_.reserve(count + 1);
+  path_begin_.push_back(0);
+  gen.for_each_path(src_tor, dst_tor, [&](std::span<const LinkId> links) {
+    for (const LinkId l : links) {
+      BuildScratch::Mark& slot = s.link[l.value()];
+      if (slot.gen != s.gen) {
+        slot = {s.gen, static_cast<std::uint32_t>(slot_links_.size())};
+        slot_links_.push_back(l);
+        const NodeId sw = t.link(l).src;
+        if (s.node[sw.value()].gen != s.gen) {
+          s.node[sw.value()].gen = s.gen;
+          query_set_.push_back(sw);
+        }
+      }
+      path_slot_.push_back(slot.index);
+    }
+    path_begin_.push_back(static_cast<std::uint32_t>(path_slot_.size()));
+  });
   std::sort(query_set_.begin(), query_set_.end());
+  for (std::size_t i = 0; i < query_set_.size(); ++i)
+    s.node[query_set_[i].value()].index = static_cast<std::uint32_t>(i);
 
   slot_owner_.resize(slot_links_.size());
-  for (std::size_t s = 0; s < slot_links_.size(); ++s) {
-    const NodeId sw = t.link(slot_links_[s]).src;
-    const auto it = std::lower_bound(query_set_.begin(), query_set_.end(), sw);
-    slot_owner_[s] = static_cast<std::uint32_t>(it - query_set_.begin());
-  }
+  for (std::size_t k = 0; k < slot_links_.size(); ++k)
+    slot_owner_[k] = s.node[t.link(slot_links_[k]).src.value()].index;
   cache_.resize(slot_links_.size());
   switch_ok_.resize(query_set_.size());
   switch_fresh_.resize(query_set_.size());
@@ -111,11 +146,13 @@ RefreshStats PathMonitor::refresh(Seconds now,
   // identical arithmetic to querying live). A path whose freshest available
   // state is older than the staleness cap sits this round out (unassembled)
   // rather than scheduling on fiction.
-  for (std::size_t i = 0; i < path_slots_.size(); ++i) {
+  for (std::size_t i = 0; i < pv_.size(); ++i) {
+    const std::uint32_t* const first = path_slot_.data() + path_begin_[i];
+    const std::uint32_t* const last = path_slot_.data() + path_begin_[i + 1];
     PathState state;
-    bool usable = !path_slots_[i].empty();
-    for (const std::uint32_t s : path_slots_[i]) {
-      const CachedLink& c = cache_[s];
+    bool usable = first != last;
+    for (const std::uint32_t* s = first; s != last; ++s) {
+      const CachedLink& c = cache_[*s];
       if (c.fresh_at < 0 || now - c.fresh_at > cfg.state_staleness_cap) {
         usable = false;
         break;
@@ -130,7 +167,7 @@ RefreshStats PathMonitor::refresh(Seconds now,
     }
     // Intra-ToR "paths" have no switch-switch link; they are never
     // scheduled (path_count == 1) so leave them unassembled.
-    if (path_slots_[i].empty()) continue;
+    if (first == last) continue;
     if (usable) {
       pv_[i] = state;
     } else {
@@ -142,7 +179,7 @@ RefreshStats PathMonitor::refresh(Seconds now,
   // carries a dead link; a blacklisted path must string together
   // `probation_rounds` healthy readings before it may receive flows again.
   for (std::size_t i = 0; i < pv_.size(); ++i) {
-    if (path_slots_[i].empty() || !pv_[i].assembled) continue;
+    if (path_begin_[i] == path_begin_[i + 1] || !pv_[i].assembled) continue;
     const bool dead = pv_[i].bonf() <= cfg.blacklist_bonf_floor;
     if (dead) {
       probation_[i] = cfg.probation_rounds;
@@ -198,7 +235,7 @@ std::uint32_t PathMonitor::flows_on(PathIndex path) const {
 std::optional<ProposedMove> PathMonitor::propose(Bps delta, Rng& rng,
                                                  RoundEvaluation* eval) const {
   if (eval != nullptr) *eval = RoundEvaluation{};
-  if (paths_->size() < 2 || tracked_flows_ == 0) return std::nullopt;
+  if (pv_.size() < 2 || tracked_flows_ == 0) return std::nullopt;
   if (all_paths_blacklisted()) {
     // Nowhere sane to move: degrade to the static hash placement (ECMP-like)
     // until at least one path clears probation. No RNG draws — the fallback

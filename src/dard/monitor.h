@@ -85,7 +85,7 @@ class PathMonitor {
 
   [[nodiscard]] NodeId src_tor() const { return src_tor_; }
   [[nodiscard]] NodeId dst_tor() const { return dst_tor_; }
-  [[nodiscard]] std::size_t path_count() const { return paths_->size(); }
+  [[nodiscard]] std::size_t path_count() const { return pv_.size(); }
 
   // One round of path-state assembling: query every relevant switch through
   // `service` (control messages are accounted there) and rebuild PV. Each
@@ -151,20 +151,22 @@ class PathMonitor {
  private:
   NodeId src_tor_;
   NodeId dst_tor_;
-  // A monitor outlives any LRU residency guarantee, so it pins its path
-  // set: paths_pin_ keeps the materialized set alive across cache eviction,
-  // paths_ is just the dereferenced view the hot paths index into.
-  topo::PathRepository::PathSetPtr paths_pin_;
-  const std::vector<topo::Path>* paths_;
+  // The switches that report some monitored link, sorted by node id: the
+  // order they are queried in, and so the order a control-plane fault model
+  // draws their losses in.
   std::vector<NodeId> query_set_;
 
-  // The unique switch-switch links any monitored path crosses ("slots"),
-  // each owned by the switch (query_set_ index) that reports it, plus the
-  // per-path slot lists a refresh assembles from. Pre-resolved so a refresh
-  // touches no topology structures.
+  // The monitor holds no path set. Its paths are the generator's
+  // (src ToR, dst ToR, i), laid out once at construction into "slots": the
+  // unique switch-switch links any path crosses, numbered in order of first
+  // appearance, each owned by the switch (query_set_ index) that reports
+  // it. Path i's slots, in link order, are
+  // path_slot_[path_begin_[i] .. path_begin_[i + 1]). Pre-resolved so a
+  // refresh touches no topology structure.
   std::vector<LinkId> slot_links_;
-  std::vector<std::uint32_t> slot_owner_;          // slot -> query_set_ index
-  std::vector<std::vector<std::uint32_t>> path_slots_;  // per path
+  std::vector<std::uint32_t> slot_owner_;   // slot -> query_set_ index
+  std::vector<std::uint32_t> path_begin_;   // per path, path_count + 1
+  std::vector<std::uint32_t> path_slot_;    // every path's slots, flat
 
   // Last-known-good per-slot state. fresh_at < 0 means never assembled.
   struct CachedLink {

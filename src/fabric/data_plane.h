@@ -63,9 +63,9 @@ class DataPlane {
 
   [[nodiscard]] virtual const topo::Topology& topology() const = 0;
   // The fabric's equal-cost ToR paths. Path indices handed to
-  // place()/move_flow() address generator().path(src ToR, dst ToR, i);
-  // holders of a whole set (DARD monitors, Hedera's rounds) pin it from the
-  // repository's cache.
+  // place()/move_flow() address generator().path(src ToR, dst ToR, i), and
+  // DARD monitors walk the generator's tables; holders of a whole set
+  // (Hedera's rounds) pin it from the repository's cache.
   virtual topo::PathRepository& paths() = 0;
 
   [[nodiscard]] virtual Seconds now() const = 0;

@@ -6,18 +6,6 @@
 
 namespace dard::topo {
 
-namespace {
-
-// Advances `f` along an id-sorted feeds list to `agg`; true when `agg`
-// feeds the list's ToR (has a down-cable to it).
-template <class Edge>
-bool feeds(const Edge*& f, const Edge* end, NodeId agg) {
-  while (f != end && f->node < agg) ++f;
-  return f != end && f->node == agg;
-}
-
-}  // namespace
-
 PathGenerator::PathGenerator(const Topology& t)
     : topo_(&t), ord_(t.node_count(), 0) {
   std::size_t tors = 0;
@@ -110,9 +98,13 @@ PathGenerator::PathGenerator(const Topology& t)
       [&](std::size_t slot, const Drop& p) { drops_[cursor[slot]++] = p; });
 }
 
-std::size_t PathGenerator::count(NodeId src_tor, NodeId dst_tor) const {
+void PathGenerator::check_tors(NodeId src_tor, NodeId dst_tor) const {
   DCN_CHECK(topo_->node(src_tor).kind == NodeKind::Tor);
   DCN_CHECK(topo_->node(dst_tor).kind == NodeKind::Tor);
+}
+
+std::size_t PathGenerator::count(NodeId src_tor, NodeId dst_tor) const {
+  check_tors(src_tor, dst_tor);
   if (src_tor == dst_tor) return 1;
   const std::uint32_t* const row = drop_row(dst_tor);
   const Edge* f = feeds_begin(dst_tor);
@@ -135,8 +127,7 @@ std::size_t PathGenerator::count(NodeId src_tor, NodeId dst_tor) const {
 
 Path PathGenerator::path(NodeId src_tor, NodeId dst_tor,
                          std::size_t index) const {
-  DCN_CHECK(topo_->node(src_tor).kind == NodeKind::Tor);
-  DCN_CHECK(topo_->node(dst_tor).kind == NodeKind::Tor);
+  check_tors(src_tor, dst_tor);
   Path out;
   if (src_tor == dst_tor) {
     DCN_CHECK_MSG(index == 0, "path index out of range");
@@ -180,36 +171,16 @@ Path PathGenerator::path(NodeId src_tor, NodeId dst_tor,
   return out;
 }
 
-// Paths come out shortest-shape-first and lexicographically within a
-// shape, so no sort is needed: 2-hop turn switches ascend by id, then 4-hop
-// (a, c, a') triples ascend in nested order.
+// A path's nodes are its source ToR followed by each link's head.
 std::vector<Path> PathGenerator::all(NodeId src_tor, NodeId dst_tor) const {
-  DCN_CHECK(topo_->node(src_tor).kind == NodeKind::Tor);
-  DCN_CHECK(topo_->node(dst_tor).kind == NodeKind::Tor);
-  if (src_tor == dst_tor) return {path(src_tor, dst_tor, 0)};
   std::vector<Path> out;
-  const Edge* const ue = up_end(src_tor);
-  const Edge* const fe = feeds_end(dst_tor);
-  const Edge* f = feeds_begin(dst_tor);
-  for (const Edge* m = up_begin(src_tor); m != ue; ++m) {
-    if (feeds(f, fe, m->node))
-      out.push_back({{src_tor, m->node, dst_tor}, {m->link, f->link}});
-  }
-  const std::uint32_t* const row = drop_row(dst_tor);
-  for (const Edge* a = up_begin(src_tor); a != ue; ++a) {
-    for (const Edge *c = up_begin(a->node), *ce = up_end(a->node); c != ce;
-         ++c) {
-      for (const Drop *p = drops_.data() + row[c->ord],
-                      *pe = drops_.data() + row[c->ord + 1];
-           p != pe; ++p) {
-        // Descending back through the up-switch would make the walk
-        // non-simple (the enumerator's `contains` check).
-        if (p->agg == a->node) continue;
-        out.push_back({{src_tor, a->node, c->node, p->agg, dst_tor},
-                       {a->link, c->link, p->down, p->last}});
-      }
-    }
-  }
+  for_each_path(src_tor, dst_tor, [&](std::span<const LinkId> links) {
+    Path& p = out.emplace_back();
+    p.nodes.reserve(links.size() + 1);
+    p.nodes.push_back(src_tor);
+    for (const LinkId l : links) p.nodes.push_back(topo_->link(l).dst);
+    p.links.assign(links.begin(), links.end());
+  });
   return out;
 }
 

@@ -34,16 +34,19 @@
 //
 // and path(s, d, i) skips whole blocks by their sizes before materializing
 // one path: O(|up(s)| · |up(a)|) table reads, 256 at k=32, with no hash
-// probe and no per-candidate walk. all() walks the same tables. At k=32 the
-// tables take ~2 MB (one drop per (ToR, core) pair on a fat tree).
+// probe and no per-candidate walk. for_each_path() walks the same tables in
+// index order and hands each path's links to a callback without allocating;
+// all() is built on it. At k=32 the tables take ~2 MB (one drop per
+// (ToR, core) pair on a fat tree).
 //
 // Flow placement and installation therefore need no path set: agents hash
-// or draw into count(s, d) and the substrate builds path(s, d, i). Whole
-// sets are built only for callers that hold them, through PathRepository's
-// LRU (paths.h): DARD monitors, which pin a set across simulated time and
-// share it per ToR pair, and Hedera's round, which pins one set per pair
-// because a round over every live elephant can look up more pairs than the
-// cache holds.
+// or draw into count(s, d) and the substrate builds path(s, d, i). A DARD
+// monitor needs no set either: it lays out its query set and per-path link
+// slots in one for_each_path() pass. Whole sets are built only for callers
+// that hold them, through PathRepository's LRU (paths.h): Hedera's round,
+// which pins one set per pair because a round over every live elephant can
+// look up more pairs than the cache holds, TeXCP's probes, and the
+// congestion-game analysis.
 //
 // The three-shape argument holds on *strict* fabrics, where every
 // switch-switch cable spans exactly one layer. A layer-skipping ToR <-> core
@@ -56,6 +59,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "topology/paths.h"
@@ -73,6 +77,13 @@ class PathGenerator {
   // The i-th path in enumeration order; i must be < count(s, d).
   [[nodiscard]] Path path(NodeId src_tor, NodeId dst_tor,
                           std::size_t index) const;
+
+  // Calls visit(links) once per path in index order, links being a
+  // std::span<const LinkId> over the path's directed links that is valid
+  // only during the call (empty for the one s == d path). Allocates
+  // nothing.
+  template <class Visit>
+  void for_each_path(NodeId src_tor, NodeId dst_tor, Visit&& visit) const;
 
   // All paths, identical (order and contents) to enumerate_tor_paths.
   [[nodiscard]] std::vector<Path> all(NodeId src_tor, NodeId dst_tor) const;
@@ -94,6 +105,13 @@ class PathGenerator {
     LinkId down;   // c -> a'
     LinkId last;   // a' -> d
   };
+  void check_tors(NodeId src_tor, NodeId dst_tor) const;
+  // Advances `f` along an id-sorted feeds list to `agg`; true when `agg`
+  // feeds the list's ToR (has a down-cable to it).
+  static bool feeds(const Edge*& f, const Edge* end, NodeId agg) {
+    while (f != end && f->node < agg) ++f;
+    return f != end && f->node == agg;
+  }
   [[nodiscard]] const Edge* up_begin(NodeId n) const {
     return ups_.data() + up_begin_[n.value()];
   }
@@ -126,5 +144,46 @@ class PathGenerator {
   std::vector<std::uint32_t> drop_begin_;  // by (ToR, core), tors*cores + 1
   std::vector<Drop> drops_;
 };
+
+// Paths come out shortest-shape-first and lexicographically within a
+// shape, so no sort is needed: 2-hop turn switches ascend by id, then 4-hop
+// (a, c, a') triples ascend in nested order.
+template <class Visit>
+void PathGenerator::for_each_path(NodeId src_tor, NodeId dst_tor,
+                                  Visit&& visit) const {
+  check_tors(src_tor, dst_tor);
+  if (src_tor == dst_tor) {
+    visit(std::span<const LinkId>{});
+    return;
+  }
+  LinkId links[4];
+  const Edge* const ue = up_end(src_tor);
+  const Edge* const fe = feeds_end(dst_tor);
+  const Edge* f = feeds_begin(dst_tor);
+  for (const Edge* m = up_begin(src_tor); m != ue; ++m) {
+    if (!feeds(f, fe, m->node)) continue;
+    links[0] = m->link;
+    links[1] = f->link;
+    visit(std::span<const LinkId>(links, 2));
+  }
+  const std::uint32_t* const row = drop_row(dst_tor);
+  for (const Edge* a = up_begin(src_tor); a != ue; ++a) {
+    links[0] = a->link;
+    for (const Edge *c = up_begin(a->node), *ce = up_end(a->node); c != ce;
+         ++c) {
+      links[1] = c->link;
+      for (const Drop *p = drops_.data() + row[c->ord],
+                      *pe = drops_.data() + row[c->ord + 1];
+           p != pe; ++p) {
+        // Descending back through the up-switch would make the walk
+        // non-simple (the enumerator's `contains` check).
+        if (p->agg == a->node) continue;
+        links[2] = p->down;
+        links[3] = p->last;
+        visit(std::span<const LinkId>(links, 4));
+      }
+    }
+  }
+}
 
 }  // namespace dard::topo

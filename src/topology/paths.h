@@ -8,10 +8,11 @@
 // Clos, the 3-tier topology and the leaf-spine fabric whose leaf <-> spine
 // cables skip the aggregation layer. Production code addresses paths by
 // (src ToR, dst ToR, index) through PathGenerator (path_gen.h), which builds
-// one path without its set; a PathRepository memoizes whole per-pair sets
-// behind a bounded LRU for the callers that hold them (DARD monitors,
-// Hedera's rounds, TeXCP probes, the game analysis), so repository memory
-// is O(capacity), not O(#ToR pairs).
+// one path without its set, and DARD monitors lay out their links from the
+// generator's tables; a PathRepository memoizes whole per-pair sets behind a
+// bounded LRU for the callers that hold them (Hedera's rounds, TeXCP probes,
+// the game analysis), so repository memory is O(capacity), not
+// O(#ToR pairs).
 #pragma once
 
 #include <cstdint>
@@ -101,18 +102,17 @@ class WeightedPathSelector {
 // probing, backward-shift deletion) — the hit path is a couple of cache
 // lines, no tree walk, no allocation.
 //
-// Flow placement and path installation never come here: they need one
-// path or a count, which the generator computes from its tables. The cache
-// serves holders of whole sets, and a monitor's set is shared by every
-// monitor of the same ToR pair.
+// Flow placement, path installation and DARD monitors never come here:
+// they need one path, a count, or one walk over a pair's links, which the
+// generator serves from its tables. The cache serves holders of whole sets:
+// Hedera's rounds, TeXCP's probes, the congestion-game analysis.
 //
 // Reference validity: the const reference returned by tor_paths() stays
 // valid until `capacity()` *other* distinct pairs have been looked up (only
-// then can the entry be evicted). Anything that holds a set across
-// simulated time (a DARD PathMonitor) or across lookups of many pairs (a
-// Hedera round, which may touch more pairs than the cache holds) must hold
-// the shared_ptr from pinned() instead, which keeps the set alive across
-// eviction.
+// then can the entry be evicted). Anything that holds a set across lookups
+// of many pairs (a Hedera round, which may touch more pairs than the cache
+// holds) must hold the shared_ptr from pinned() instead, which keeps the set
+// alive across eviction.
 class PathRepository {
  public:
   // Default capacity covers every ordered ToR pair of a k=8 fat tree

@@ -166,6 +166,61 @@ TEST(AgentCrash, AgentChurnPresetRunsEndToEnd) {
   EXPECT_EQ(r.recovery.agent_restarts, 2u);
 }
 
+TEST(AgentCrash, OverlappingCrashWindowsReadoptEachElephantOnce) {
+  // Two crash windows on one host overlap: the second crash (t=0.5) hits a
+  // dead daemon and is a no-op, but its restart (t=1.0) still fires on the
+  // daemon the first restart (t=0.7) revived. That restart's re-adopt walk
+  // must not register live elephants a second time: a duplicate outlives
+  // its flow, keeps the monitor alive, and a later round moves the
+  // finished flow (the auditor run aborts).
+  {
+    const Topology t = build_fat_tree({.p = 4});
+    harness::ExperimentConfig cfg;
+    cfg.scheduler = harness::SchedulerKind::Dard;
+    cfg.audit = true;
+    cfg.workload.pattern.kind = traffic::PatternKind::Stride;
+    cfg.workload.flow_size = 512 * kMiB;
+    cfg.workload.mean_interarrival = 0.1;
+    cfg.workload.duration = 0.5;
+    cfg.workload.seed = 7;
+    cfg.elephant_threshold = 0.1;
+    cfg.dard.query_interval = 0.1;
+    cfg.dard.schedule_base = 0.25;
+    cfg.dard.schedule_jitter = 0.25;
+    cfg.dard.delta = 1 * kMbps;
+    cfg.faults.plan.crash_daemon(0.3, "host0_0", 0.4);
+    cfg.faults.plan.crash_daemon(0.5, "host0_0", 0.5);
+
+    const harness::ExperimentResult r = run_experiment(t, cfg);
+    ASSERT_GT(r.flows, 0u);
+    EXPECT_EQ(r.recovery.agent_crashes, 2u);
+    EXPECT_EQ(r.recovery.agent_restarts, 2u);
+  }
+
+  // The same sequence driven directly: crash, restart, restart.
+  const Topology t = build_fat_tree({.p = 4});
+  FlowSimulator sim(t);
+  DardAgent agent(tight_dard());
+  sim.set_agent(&agent);
+
+  const NodeId host = t.hosts().front();
+  const NodeId dst = t.hosts().back();
+  sim.submit(long_flow(host, dst, 1));
+  sim.run_until(2.0);  // promoted and monitored
+  agent.on_daemon_crash(sim, host);
+  agent.on_daemon_restart(sim, host);
+  agent.on_daemon_restart(sim, host);  // the daemon is already up
+
+  const core::DardHostDaemon* d = agent.daemon(host);
+  ASSERT_NE(d, nullptr);
+  const core::PathMonitor* m = d->monitor_for(t.tor_of_host(dst));
+  ASSERT_NE(m, nullptr);
+  EXPECT_EQ(m->tracked_flows(), 1u);
+
+  sim.run_until_flows_done();
+  EXPECT_EQ(agent.live_monitor_count(), 0u);
+}
+
 TEST(AgentCrash, PacketSubstrateDeliversAgentFaultsThroughTheSameHooks) {
   // Substrate-neutrality: the identical plan mechanism drives the packet
   // simulator's shared ControlAgent, with the auditor checking the packet

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "baselines/ecmp.h"
 #include "dard/monitor.h"
 #include "common/rng.h"
 #include "fabric/wire.h"
 #include "flowsim/simulator.h"
 #include "topology/builders.h"
+#include "topology/path_gen.h"
 
 namespace dard::core {
 namespace {
@@ -190,6 +194,116 @@ TEST_F(MonitorTest, IntraPodMonitorQueriesOnlyPodSwitches) {
   // Source ToR + 2 aggs (the paths' only switch-switch links are
   // tor_a->agg and agg->tor_b).
   EXPECT_EQ(m.queried_switches().size(), 3u);
+}
+
+// Seeded ToR pairs, alternating same-pod and inter-pod destinations where
+// the fabric has both.
+std::vector<std::pair<NodeId, NodeId>> seeded_pairs(const Topology& t,
+                                                    std::size_t n) {
+  std::map<int, std::vector<NodeId>> by_pod;
+  for (const NodeId tor : t.tors()) by_pod[t.node(tor).pod].push_back(tor);
+  Rng rng(11);
+  std::vector<std::pair<NodeId, NodeId>> out;
+  while (out.size() < n) {
+    const NodeId s = t.tors()[rng.next_below(t.tors().size())];
+    const bool same_pod = out.size() % 2 == 0;
+    std::vector<NodeId> candidates;
+    for (const NodeId d : t.tors())
+      if (d != s && (t.node(d).pod == t.node(s).pod) == same_pod)
+        candidates.push_back(d);
+    if (candidates.empty())
+      for (const NodeId d : t.tors())
+        if (d != s) candidates.push_back(d);
+    out.emplace_back(s, candidates[rng.next_below(candidates.size())]);
+  }
+  return out;
+}
+
+// The monitor lays out its query set and slots from the generator's tables
+// in one pass; this checks the layout, and what a refresh assembles from
+// it, against the pair's whole path set on every fabric shape — including
+// stripped ones, where some cores are unreachable from a ToR.
+void check_monitor_matches_path_set(const Topology& t) {
+  FlowSimulator sim(t);
+  baselines::EcmpAgent agent;
+  sim.set_agent(&agent);
+  const fabric::StateQueryService service(sim.link_state(), nullptr);
+  Rng rng(3);
+  const auto& hosts = t.hosts();
+  for (std::uint16_t i = 0; i < 8; ++i) {
+    FlowSpec spec;
+    spec.src_host = hosts[rng.next_below(hosts.size())];
+    do {
+      spec.dst_host = hosts[rng.next_below(hosts.size())];
+    } while (spec.dst_host == spec.src_host);
+    spec.size = 4'000'000'000ull;
+    spec.src_port = static_cast<std::uint16_t>(1000 + i);
+    spec.dst_port = 80;
+    sim.submit(spec);
+  }
+  std::vector<LinkId> fabric_links;
+  for (const topo::Link& l : t.links())
+    if (t.is_switch_switch(l.id)) fabric_links.push_back(l.id);
+  const topo::Link& failed =
+      t.link(fabric_links[rng.next_below(fabric_links.size())]);
+  sim.set_cable_failed(failed.src, failed.dst, true);
+  sim.run_until(1.5);  // every elephant promoted
+
+  const topo::PathGenerator& gen = sim.paths().generator();
+  for (const auto& [s, d] : seeded_pairs(t, 50)) {
+    SCOPED_TRACE(testing::Message() << "pair (" << s.value() << ","
+                                    << d.value() << ")");
+    const std::vector<topo::Path> paths = gen.all(s, d);
+    PathMonitor m(sim, s, d);
+    ASSERT_EQ(m.path_count(), paths.size());
+
+    std::vector<NodeId> want_switches;
+    for (const topo::Path& p : paths)
+      for (const LinkId l : p.links)
+        if (t.is_switch_switch(l)) want_switches.push_back(t.link(l).src);
+    std::sort(want_switches.begin(), want_switches.end());
+    want_switches.erase(
+        std::unique(want_switches.begin(), want_switches.end()),
+        want_switches.end());
+    EXPECT_EQ(m.queried_switches(), want_switches);
+
+    m.refresh(sim.now(), service);
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      PathState want;  // first strict minimum, in link order
+      for (const LinkId l : paths[i].links) {
+        const fabric::LinkState ls = service.link_state(l);
+        if (!want.assembled || ls.bonf() < want.bonf()) {
+          want.bottleneck = ls.link;
+          want.bandwidth = ls.bandwidth;
+          want.flow_numbers = ls.elephant_flows;
+          want.assembled = true;
+        }
+      }
+      const PathState& got = m.path_states()[i];
+      EXPECT_EQ(got.assembled, want.assembled) << "path " << i;
+      EXPECT_EQ(got.bottleneck, want.bottleneck) << "path " << i;
+      EXPECT_EQ(got.bandwidth, want.bandwidth) << "path " << i;
+      EXPECT_EQ(got.flow_numbers, want.flow_numbers) << "path " << i;
+    }
+  }
+}
+
+TEST(MonitorLayout, MatchesPathSetOnEveryFabricShape) {
+  for (const int p : {4, 8, 16}) check_monitor_matches_path_set(build_fat_tree({.p = p}));
+  check_monitor_matches_path_set(topo::build_clos({}));
+  check_monitor_matches_path_set(topo::build_three_tier({}));
+  topo::FatTreeParams skewed_stripped{.p = 8};
+  skewed_stripped.core_capacities = {1 * kGbps, 4 * kGbps};
+  skewed_stripped.stripped_pods = 2;
+  skewed_stripped.stripped_pod_uplinks = 1;
+  check_monitor_matches_path_set(build_fat_tree(skewed_stripped));
+  topo::FatTreeParams oversubscribed{.p = 8};
+  oversubscribed.uplinks_per_agg = 2;
+  check_monitor_matches_path_set(build_fat_tree(oversubscribed));
+  topo::LeafSpineParams stripped_leaves;
+  stripped_leaves.stripped_leaves = 3;
+  stripped_leaves.stripped_leaf_uplinks = 2;
+  check_monitor_matches_path_set(topo::build_leaf_spine(stripped_leaves));
 }
 
 }  // namespace
