@@ -18,6 +18,7 @@
 // the auditor's own unit tests use to prove it fires.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -54,6 +55,17 @@ class Auditor {
   // `ok == false` is a violation described by `what` (aborts in fail_fast
   // mode). Also counts total checks, so tests can assert coverage ran.
   void check(bool ok, const std::string& what);
+  // As above, with the description built only on a violation, so a passing
+  // check does no string work.
+  template <class Describe>
+    requires std::invocable<Describe&>
+  void check(bool ok, Describe&& describe) {
+    if (ok) {
+      ++checks_run_;
+      return;
+    }
+    check(false, describe());
+  }
 
   // Incarnation monotonicity: agents report every (host, incarnation) bump.
   // A report below the last recorded value means a stale pre-crash closure

@@ -40,8 +40,9 @@ struct Flow {
   bool is_elephant = false;
 
   // The *hot* per-flow scalars — remaining bytes, current rate, last
-  // settlement time, completion-event version — live in flat SoA lanes on
-  // the simulator (rate via FlowSimulator::rate_of()), not here: the
+  // settlement time — live in flat SoA lanes on the simulator (rate via
+  // FlowSimulator::rate_of()), and the flow's completion and promotion
+  // deadlines are keyed timers on its event queue, not here: the
   // reallocation inner loop touches every dirty flow's hot state and
   // nothing else, so packing those lanes densely is what keeps a k=32
   // realloc inside the cache.

@@ -28,6 +28,13 @@ bool rate_changed(Bps a, Bps b) {
 FlowSimulator::FlowSimulator(const topo::Topology& t, SimConfig cfg)
     : topo_(&t), cfg_(cfg), paths_(t), board_(t), allocator_(t, &board_) {
   allocator_.attach(store_);
+  events_.set_timer_handler([this](std::uint32_t key) {
+    const FlowId id(key / 2);
+    if (key == completion_key(id))
+      complete(id);
+    else
+      promote_elephant(id);
+  });
 }
 
 void FlowSimulator::set_metrics(obs::MetricsRegistry* metrics) {
@@ -49,8 +56,10 @@ void FlowSimulator::set_metrics(obs::MetricsRegistry* metrics) {
 
 double FlowSimulator::path_bonf(const Flow& f, PathIndex index) {
   double bonf = std::numeric_limits<double>::infinity();
-  for (const LinkId l :
-       paths_.generator().path(f.src_tor, f.dst_tor, index).links) {
+  LinkId links[4];
+  const std::size_t n =
+      paths_.generator().path_links(f.src_tor, f.dst_tor, index, links);
+  for (const LinkId l : std::span<const LinkId>(links, n)) {
     if (!topo_->is_switch_switch(l)) continue;
     const fabric::LinkState state{l, board_.capacity(l), board_.elephants(l)};
     bonf = std::min(bonf, state.bonf());
@@ -87,9 +96,6 @@ FlowId FlowSimulator::submit(const FlowSpec& spec) {
     remaining_[id.value()] = static_cast<double>(spec.size);
     rate_[id.value()] = 0;
     last_update_[id.value()] = spec.arrival;
-    // version_ deliberately keeps counting: stale completion events of the
-    // slot's previous flow must stay stale.
-    ++incarnation_[id.value()];
   } else {
     id = FlowId(static_cast<FlowId::value_type>(flows_.size()));
     Flow f;
@@ -101,8 +107,6 @@ FlowId FlowSimulator::submit(const FlowSpec& spec) {
     remaining_.push_back(static_cast<double>(spec.size));
     rate_.push_back(0);
     last_update_.push_back(spec.arrival);
-    version_.push_back(0);
-    incarnation_.push_back(0);
     active_pos_.push_back(0);
   }
   ++submitted_;
@@ -123,11 +127,14 @@ double FlowSimulator::remaining_bytes(FlowId id) const {
 }
 
 void FlowSimulator::set_path_links(Flow& f, PathIndex index) {
-  const topo::Path full = topo::host_path(
-      *topo_, f.spec.src_host, f.spec.dst_host,
-      paths_.generator().path(f.src_tor, f.dst_tor, index));
+  // [host uplink, ToR-to-ToR links, host downlink], laid out on the stack.
+  LinkId links[6];
+  links[0] = topo_->out_links(f.spec.src_host).front();
+  const std::size_t n = paths_.generator().path_links(f.src_tor, f.dst_tor,
+                                                      index, links + 1);
+  links[n + 1] = topo_->reverse(topo_->out_links(f.spec.dst_host).front());
   f.path_index = index;
-  store_.set(f.id.value(), full.links);
+  store_.set(f.id.value(), std::span<const LinkId>(links, n + 2));
 }
 
 void FlowSimulator::board_add(const Flow& f) {
@@ -150,22 +157,10 @@ void FlowSimulator::arrive(FlowId id) {
   active_pos_[id.value()] = static_cast<std::uint32_t>(active_.size());
   active_.push_back(id);
 
-  if (cfg_.elephant_threshold <= 0) {
+  if (cfg_.elephant_threshold <= 0)
     promote_elephant(id);
-  } else {
-    const std::uint32_t inc = incarnation_[id.value()];
-    events_.schedule(events_.now() + cfg_.elephant_threshold,
-                     [this, id, inc] {
-                       // The incarnation check keeps a timer armed for a
-                       // finished flow from promoting whatever later flow
-                       // recycled its id.
-                       const Flow& flow = flows_[id.value()];
-                       if (incarnation_[id.value()] == inc &&
-                           flow.state == FlowState::Active &&
-                           !flow.is_elephant)
-                         promote_elephant(id);
-                     });
-  }
+  else
+    events_.arm(promotion_key(id), events_.now() + cfg_.elephant_threshold);
   if (observer_ != nullptr) {
     obs::TraceEvent e;
     e.kind = obs::TraceEventKind::FlowArrive;
@@ -182,6 +177,7 @@ void FlowSimulator::arrive(FlowId id) {
 
 void FlowSimulator::promote_elephant(FlowId id) {
   Flow& f = flows_[id.value()];
+  DCN_CHECK(f.state == FlowState::Active && !f.is_elephant);
   f.is_elephant = true;
   board_add(f);
   ++active_elephants_;
@@ -199,9 +195,11 @@ void FlowSimulator::promote_elephant(FlowId id) {
   agent_->on_elephant(*this, flow_view(id));
 }
 
-void FlowSimulator::complete(FlowId id, std::uint64_t version) {
+void FlowSimulator::complete(FlowId id) {
   Flow& f = flows_[id.value()];
-  if (f.state != FlowState::Active || version_[id.value()] != version) return;
+  DCN_CHECK(f.state == FlowState::Active);
+  // A mouse's promotion would fire after it is gone.
+  events_.disarm(promotion_key(id));
 
   const Seconds now = events_.now();
   remaining_[id.value()] -= rate_[id.value()] / 8.0 * (now - last_update_[id.value()]);
@@ -319,13 +317,16 @@ void FlowSimulator::audit(fabric::Auditor& auditor) {
     // un-transferred bytes.
     const double live =
         remaining_[id.value()] - rate / 8.0 * (t - last_update_[id.value()]);
-    auditor.check(rate >= 0, "flow " + std::to_string(id.value()) +
-                                 " has a negative rate");
+    auditor.check(rate >= 0, [&] {
+      return "flow " + std::to_string(id.value()) + " has a negative rate";
+    });
     auditor.check(
-        live >= -1.0 && live <= static_cast<double>(f.spec.size) + 1.0,
-        "flow " + std::to_string(id.value()) +
-            " violates byte conservation (live remaining " +
-            std::to_string(live) + " of " + std::to_string(f.spec.size) + ")");
+        live >= -1.0 && live <= static_cast<double>(f.spec.size) + 1.0, [&] {
+          return "flow " + std::to_string(id.value()) +
+                 " violates byte conservation (live remaining " +
+                 std::to_string(live) + " of " + std::to_string(f.spec.size) +
+                 ")";
+        });
     bool crosses_failed = false;
     for (const LinkId l : links_of(f)) {
       if (board_.failed(l)) crosses_failed = true;
@@ -336,21 +337,43 @@ void FlowSimulator::audit(fabric::Auditor& auditor) {
     // reallocation is pending — rates are then stale by design for up to
     // realloc_interval.
     if (crosses_failed && !realloc_pending_)
-      auditor.check(rate <= 1.0 + 1e-6,
-                    "flow " + std::to_string(id.value()) +
-                        " carries rate " + std::to_string(rate) +
-                        " bps across a failed cable");
+      auditor.check(rate <= 1.0 + 1e-6, [&] {
+        return "flow " + std::to_string(id.value()) + " carries rate " +
+               std::to_string(rate) + " bps across a failed cable";
+      });
+  }
+  // Timer table: an active flow's completion is armed exactly when it has a
+  // rate to finish at, and its promotion exactly while it is a mouse
+  // waiting out a positive threshold. Any other slot — not yet arrived,
+  // finished, or free for recycling — has neither armed.
+  for (std::uint32_t fid = 0; fid < flows_.size(); ++fid) {
+    const FlowId id(fid);
+    const std::uint32_t pos = active_pos_[fid];
+    const bool active = pos < active_.size() && active_[pos] == id;
+    const bool completes = active && rate_[fid] > 0;
+    const bool promotes = active && !flows_[fid].is_elephant &&
+                          cfg_.elephant_threshold > 0;
+    auditor.check(events_.armed(completion_key(id)) == completes, [&] {
+      return "flow " + std::to_string(fid) +
+             (completes ? " has a rate but no completion timer"
+                        : " has a completion timer but no rate to finish at");
+    });
+    auditor.check(events_.armed(promotion_key(id)) == promotes, [&] {
+      return "flow " + std::to_string(fid) +
+             (promotes ? " is a live mouse with no promotion timer"
+                       : " has a promotion timer it can no longer use");
+    });
   }
   // Refcount consistency: the LinkStateBoard's per-link elephant counts
   // must equal a from-scratch recount over the active flows — a mismatch
   // means a board registration leaked (or double-decremented) somewhere in
   // the arrive/promote/move/finish lifecycle.
   for (std::uint32_t l = 0; l < counts.size(); ++l)
-    auditor.check(counts[l] == board_.elephants(LinkId{l}),
-                  "link " + std::to_string(l) + " elephant refcount drift (" +
-                      std::to_string(board_.elephants(LinkId{l})) +
-                      " on the board, " + std::to_string(counts[l]) +
-                      " recounted)");
+    auditor.check(counts[l] == board_.elephants(LinkId{l}), [&] {
+      return "link " + std::to_string(l) + " elephant refcount drift (" +
+             std::to_string(board_.elephants(LinkId{l})) + " on the board, " +
+             std::to_string(counts[l]) + " recounted)";
+    });
 }
 
 void FlowSimulator::move_flow(FlowId id, PathIndex new_path) {
@@ -426,19 +449,18 @@ void FlowSimulator::reallocate() {
     if (!rate_changed(rate_[fid], new_rate)) continue;
 
     // Settle progress under the old rate, then switch to the new one and
-    // reschedule completion under a fresh version. Pure SoA-lane traffic:
-    // the cold Flow struct is never touched here.
+    // move the completion timer (a starved flow has none). Pure SoA-lane
+    // traffic: the cold Flow struct is never touched here.
     remaining_[fid] -= rate_[fid] / 8.0 * (now - last_update_[fid]);
     remaining_[fid] = std::max(remaining_[fid], 0.0);
     last_update_[fid] = now;
     rate_[fid] = new_rate;
-    const std::uint64_t version = ++version_[fid];
 
-    if (new_rate > 0) {
-      const FlowId id(fid);
-      const Seconds finish = now + remaining_[fid] * 8.0 / new_rate;
-      events_.schedule(finish, [this, id, version] { complete(id, version); });
-    }
+    const std::uint32_t key = completion_key(FlowId(fid));
+    if (new_rate > 0)
+      events_.arm(key, now + remaining_[fid] * 8.0 / new_rate);
+    else
+      events_.disarm(key);
   }
 }
 

@@ -3,10 +3,13 @@
 // Flows arrive, receive a path from the active scheduling agent, share
 // bandwidth max-min fairly with every other active flow, and finish when
 // their bytes drain. Rates are recomputed on every arrival / completion /
-// path move; completion events are invalidated by per-flow version counters
-// when a rate change reschedules them. Elephant promotion follows the
-// paper: a flow that has lasted `elephant_threshold` seconds becomes an
-// elephant, is counted on its links' state boards, and becomes schedulable.
+// path move. Each active flow holds at most two keyed timers on the event
+// queue (event_queue.h): its completion (key 2·id), which every rate change
+// moves, and while it is a mouse its elephant promotion (key 2·id + 1),
+// which its completion cancels. So the queue holds only live deadlines.
+// Elephant promotion follows the paper: a flow that has lasted
+// `elephant_threshold` seconds becomes an elephant, is counted on its
+// links' state boards, and becomes schedulable.
 #pragma once
 
 #include <memory>
@@ -47,11 +50,10 @@ struct SimConfig {
   // Hyperscale-run options (bench_hyperscale, DESIGN.md §14). With
   // recycle_flow_ids, a finished flow's dense id returns to a free list and
   // is handed to a later submit(), so every per-flow array is bounded by
-  // the peak *concurrent* flow count instead of total arrivals. Pending
-  // events for the old flow are neutralized by the per-slot incarnation
-  // counter (elephant promotion) and the never-reset version lane
-  // (completion). Flow handles and records of recycled flows are
-  // invalidated, so this stays off outside open-ended soak runs.
+  // the peak *concurrent* flow count instead of total arrivals. A finished
+  // flow leaves no timer armed, so nothing pending can reach the slot's
+  // next flow. Flow handles and records of recycled flows are invalidated,
+  // so this stays off outside open-ended soak runs.
   bool recycle_flow_ids = false;
   // When false, finished flows append no FlowRecord (records() stays
   // empty) — the other monotone buffer an unbounded run cannot afford.
@@ -63,6 +65,9 @@ struct SimConfig {
 class FlowSimulator : public fabric::DataPlane {
  public:
   FlowSimulator(const topo::Topology& t, SimConfig cfg = {});
+  // The event queue's timer handler and every pending event hold `this`.
+  FlowSimulator(const FlowSimulator&) = delete;
+  FlowSimulator& operator=(const FlowSimulator&) = delete;
 
   // Installs the scheduling policy and lets it set up its periodic work.
   void set_agent(fabric::ControlAgent* agent) {
@@ -165,8 +170,9 @@ class FlowSimulator : public fabric::DataPlane {
   void set_cable_failed(NodeId a, NodeId b, bool failed) override;
 
   // Invariant walk for fabric::Auditor (DESIGN.md §16): byte conservation
-  // per live flow, per-link elephant refcounts vs the board, and no
-  // meaningful rate across a failed cable. Read-only.
+  // per live flow, per-link elephant refcounts vs the board, no meaningful
+  // rate across a failed cable, and each flow's timers armed exactly when
+  // it has a deadline pending. Read-only.
   void audit(fabric::Auditor& auditor) override;
 
   // Installs the control-plane degradation model (fault experiments only;
@@ -197,9 +203,18 @@ class FlowSimulator : public fabric::DataPlane {
   // Bytes-weighted progress check used by tests.
   [[nodiscard]] double remaining_bytes(FlowId id) const;
 
+  // A flow's two keyed timers on events(): its completion, and (while it is
+  // a mouse) its elephant promotion.
+  [[nodiscard]] static std::uint32_t completion_key(FlowId id) {
+    return 2 * id.value();
+  }
+  [[nodiscard]] static std::uint32_t promotion_key(FlowId id) {
+    return 2 * id.value() + 1;
+  }
+
  private:
   void arrive(FlowId id);
-  void complete(FlowId id, std::uint64_t version);
+  void complete(FlowId id);
   void promote_elephant(FlowId id);
   void apply_move(Flow& f, PathIndex new_path);
   // Runs reallocate() now (exact mode) or schedules one settle event no
@@ -224,16 +239,9 @@ class FlowSimulator : public fabric::DataPlane {
   std::vector<Flow> flows_;  // by FlowId (cold per-flow state)
   // Hot per-flow SoA lanes, by FlowId. `remaining_` is exact as of
   // `last_update_`; the live value is remaining - rate/8 * (now - last).
-  // `version_` is bumped on every rate/path change and *never* reset (not
-  // even across id recycling): pending completion events carry the version
-  // they were computed under and no-op when stale.
   std::vector<double> remaining_;      // fractional bytes
   std::vector<Bps> rate_;
   std::vector<Seconds> last_update_;
-  std::vector<std::uint64_t> version_;
-  // Bumped each time a recycled id is handed out again; guards the
-  // elephant-promotion timer against firing on a successor flow.
-  std::vector<std::uint32_t> incarnation_;
   std::vector<FlowId::value_type> free_fids_;  // recycle_flow_ids pool
   std::size_t submitted_ = 0;
   std::size_t finished_ = 0;

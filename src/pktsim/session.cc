@@ -10,10 +10,18 @@ PktSession::PktSession(const topo::Topology& t,
       router_(std::move(router)),
       tcp_(tcp) {
   router_->attach(net_, events_);
+  // Delivery is the only way a flow completes, so finished flows are
+  // counted here rather than scanned for.
   net_.set_delivery_handler([this](const Packet& p) {
     DCN_CHECK(p.flow.value() < flows_.size());
-    flows_[p.flow.value()]->on_packet(p);
+    TcpFlow& flow = *flows_[p.flow.value()];
+    if (flow.result().done()) return;
+    flow.on_packet(p);
+    if (flow.result().done()) ++finished_;
   });
+  // A flow's RTO is the keyed timer of its id.
+  events_.set_timer_handler(
+      [this](std::uint32_t key) { flows_[key]->on_rto(); });
 }
 
 FlowId PktSession::add_flow(const PktFlowSpec& spec) {
@@ -66,10 +74,6 @@ const TcpResult& PktSession::result(FlowId id) const {
   return flows_[id.value()]->result();
 }
 
-bool PktSession::all_done() const {
-  for (const auto& f : flows_)
-    if (!f->result().done()) return false;
-  return true;
-}
+bool PktSession::all_done() const { return finished_ == flows_.size(); }
 
 }  // namespace dard::pktsim

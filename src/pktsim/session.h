@@ -26,6 +26,10 @@ class PktSession {
  public:
   PktSession(const topo::Topology& t, std::unique_ptr<PacketRouter> router,
              TcpConfig tcp = {}, Bytes queue_bytes = 0);
+  // The network's delivery handler and the queue's timer handler hold
+  // `this`.
+  PktSession(const PktSession&) = delete;
+  PktSession& operator=(const PktSession&) = delete;
 
   FlowId add_flow(const PktFlowSpec& spec);
 
@@ -35,6 +39,7 @@ class PktSession {
 
   [[nodiscard]] const TcpResult& result(FlowId id) const;
   [[nodiscard]] std::size_t flow_count() const { return flows_.size(); }
+  // Every added flow has finished; O(1), from a count kept at delivery.
   [[nodiscard]] bool all_done() const;
 
   [[nodiscard]] PacketRouter& router() { return *router_; }
@@ -63,6 +68,7 @@ class PktSession {
   std::unique_ptr<PacketRouter> router_;
   TcpConfig tcp_;
   std::vector<std::unique_ptr<TcpFlow>> flows_;
+  std::size_t finished_ = 0;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Profiler* profiler_ = nullptr;
 };

@@ -178,13 +178,9 @@ void TcpFlow::handle_dup_ack() {
   }
 }
 
-void TcpFlow::arm_rto() {
-  const std::uint64_t version = ++rto_version_;
-  events_->schedule(events_->now() + rto_, [this, version] { on_rto(version); });
-}
+void TcpFlow::arm_rto() { events_->arm(id_.value(), events_->now() + rto_); }
 
-void TcpFlow::on_rto(std::uint64_t version) {
-  if (result_.done() || version != rto_version_) return;
+void TcpFlow::on_rto() {
   if (acked_ >= next_seq_ && acked_ >= snd_max_) return;  // truly idle
 
   ++result_.timeouts;
@@ -204,7 +200,7 @@ void TcpFlow::on_rto(std::uint64_t version) {
 
 void TcpFlow::complete() {
   result_.finish = events_->now();
-  ++rto_version_;  // cancel pending timers
+  events_->disarm(id_.value());
   router_->on_flow_finished(id_);
 }
 

@@ -5,6 +5,10 @@
 // Jacobson estimation) and the receiver side (cumulative ACKs over an
 // out-of-order reassembly set — which is what turns per-packet path
 // scattering into duplicate ACKs and spurious retransmissions).
+//
+// The RTO is the event queue's keyed timer for the flow's id: every re-arm
+// moves the one pending deadline, and completion disarms it. The owning
+// PktSession installs the queue's timer handler, which calls on_rto().
 #pragma once
 
 #include <set>
@@ -51,6 +55,8 @@ class TcpFlow {
   void start(Seconds at);
   // Dispatched by the session for every delivered packet of this flow.
   void on_packet(const Packet& p);
+  // Dispatched by the session when the flow's RTO timer fires.
+  void on_rto();
 
   [[nodiscard]] const TcpResult& result() const { return result_; }
   [[nodiscard]] FlowId id() const { return id_; }
@@ -68,7 +74,6 @@ class TcpFlow {
   void handle_new_ack(std::uint64_t cum);
   void handle_dup_ack();
   void arm_rto();
-  void on_rto(std::uint64_t version);
   void complete();
   [[nodiscard]] std::vector<LinkId> reverse_route(
       const std::vector<LinkId>& route) const;
@@ -97,7 +102,6 @@ class TcpFlow {
   std::uint64_t timed_seq_ = 0;
   Seconds timed_at_ = 0;
   double srtt_ = -1, rttvar_ = 0, rto_;
-  std::uint64_t rto_version_ = 0;
 
   // Receiver.
   std::uint64_t rcv_next_ = 0;

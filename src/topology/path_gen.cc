@@ -125,14 +125,12 @@ std::size_t PathGenerator::count(NodeId src_tor, NodeId dst_tor) const {
   return n;
 }
 
-Path PathGenerator::path(NodeId src_tor, NodeId dst_tor,
-                         std::size_t index) const {
+std::size_t PathGenerator::path_links(NodeId src_tor, NodeId dst_tor,
+                                      std::size_t index, LinkId out[4]) const {
   check_tors(src_tor, dst_tor);
-  Path out;
   if (src_tor == dst_tor) {
     DCN_CHECK_MSG(index == 0, "path index out of range");
-    out.nodes.push_back(src_tor);
-    return out;
+    return 0;
   }
   const Edge* const ub = up_begin(src_tor);
   const Edge* const ue = up_end(src_tor);
@@ -142,9 +140,9 @@ Path PathGenerator::path(NodeId src_tor, NodeId dst_tor,
   const Edge* f = fb;
   for (const Edge* m = ub; m != ue; ++m) {
     if (!feeds(f, fe, m->node) || i-- != 0) continue;
-    out.nodes = {src_tor, m->node, dst_tor};
-    out.links = {m->link, f->link};
-    return out;
+    out[0] = m->link;
+    out[1] = f->link;
+    return 2;
   }
   // Skip whole (a, c) blocks by size; walk only the block holding i.
   const std::uint32_t* const row = drop_row(dst_tor);
@@ -161,25 +159,39 @@ Path PathGenerator::path(NodeId src_tor, NodeId dst_tor,
       for (const Drop* p = drops_.data() + row[c->ord];; ++p) {
         if (p->agg == a->node) continue;
         if (i-- != 0) continue;
-        out.nodes = {src_tor, a->node, c->node, p->agg, dst_tor};
-        out.links = {a->link, c->link, p->down, p->last};
-        return out;
+        out[0] = a->link;
+        out[1] = c->link;
+        out[2] = p->down;
+        out[3] = p->last;
+        return 4;
       }
     }
   }
   DCN_CHECK_MSG(false, "path index out of range");
-  return out;
+  return 0;
 }
 
-// A path's nodes are its source ToR followed by each link's head.
+Path PathGenerator::make_path(NodeId src_tor,
+                              std::span<const LinkId> links) const {
+  Path p;
+  p.nodes.reserve(links.size() + 1);
+  p.nodes.push_back(src_tor);
+  for (const LinkId l : links) p.nodes.push_back(topo_->link(l).dst);
+  p.links.assign(links.begin(), links.end());
+  return p;
+}
+
+Path PathGenerator::path(NodeId src_tor, NodeId dst_tor,
+                         std::size_t index) const {
+  LinkId links[4];
+  const std::size_t n = path_links(src_tor, dst_tor, index, links);
+  return make_path(src_tor, std::span<const LinkId>(links, n));
+}
+
 std::vector<Path> PathGenerator::all(NodeId src_tor, NodeId dst_tor) const {
   std::vector<Path> out;
   for_each_path(src_tor, dst_tor, [&](std::span<const LinkId> links) {
-    Path& p = out.emplace_back();
-    p.nodes.reserve(links.size() + 1);
-    p.nodes.push_back(src_tor);
-    for (const LinkId l : links) p.nodes.push_back(topo_->link(l).dst);
-    p.links.assign(links.begin(), links.end());
+    out.push_back(make_path(src_tor, links));
   });
   return out;
 }

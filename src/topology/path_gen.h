@@ -34,19 +34,20 @@
 //
 // and path(s, d, i) skips whole blocks by their sizes before materializing
 // one path: O(|up(s)| · |up(a)|) table reads, 256 at k=32, with no hash
-// probe and no per-candidate walk. for_each_path() walks the same tables in
-// index order and hands each path's links to a callback without allocating;
-// all() is built on it. At k=32 the tables take ~2 MB (one drop per
-// (ToR, core) pair on a fat tree).
+// probe and no per-candidate walk. path_links() is that walk, writing the
+// path's links to a caller's buffer without allocating; path() is built on
+// it. for_each_path() walks the same tables in index order and hands each
+// path's links to a callback without allocating; all() is built on it. At
+// k=32 the tables take ~2 MB (one drop per (ToR, core) pair on a fat tree).
 //
 // Flow placement and installation therefore need no path set: agents hash
-// or draw into count(s, d) and the substrate builds path(s, d, i). A DARD
-// monitor needs no set either: it lays out its query set and per-path link
-// slots in one for_each_path() pass. Whole sets are built only for callers
-// that hold them, through PathRepository's LRU (paths.h): Hedera's round,
-// which pins one set per pair because a round over every live elephant can
-// look up more pairs than the cache holds, TeXCP's probes, and the
-// congestion-game analysis.
+// or draw into count(s, d) and the substrate installs path_links(s, d, i).
+// A DARD monitor needs no set either: it lays out its query set and per-path
+// link slots in one for_each_path() pass. Whole sets are built only for
+// callers that hold them, through PathRepository's LRU (paths.h): Hedera's
+// round, which pins one set per pair because a round over every live
+// elephant can look up more pairs than the cache holds, TeXCP's probes, and
+// the congestion-game analysis.
 //
 // The three-shape argument holds on *strict* fabrics, where every
 // switch-switch cable spans exactly one layer. A layer-skipping ToR <-> core
@@ -78,6 +79,12 @@ class PathGenerator {
   [[nodiscard]] Path path(NodeId src_tor, NodeId dst_tor,
                           std::size_t index) const;
 
+  // The i-th path's directed links, written to out[0, n) where n (0 when
+  // s == d, else 2 or 4) is returned. Allocates nothing; path() is built on
+  // it.
+  std::size_t path_links(NodeId src_tor, NodeId dst_tor, std::size_t index,
+                         LinkId out[4]) const;
+
   // Calls visit(links) once per path in index order, links being a
   // std::span<const LinkId> over the path's directed links that is valid
   // only during the call (empty for the one s == d path). Allocates
@@ -106,6 +113,9 @@ class PathGenerator {
     LinkId last;   // a' -> d
   };
   void check_tors(NodeId src_tor, NodeId dst_tor) const;
+  // A path's nodes are its source ToR followed by each link's head.
+  [[nodiscard]] Path make_path(NodeId src_tor,
+                               std::span<const LinkId> links) const;
   // Advances `f` along an id-sorted feeds list to `agg`; true when `agg`
   // feeds the list's ToR (has a down-cable to it).
   static bool feeds(const Edge*& f, const Edge* end, NodeId agg) {

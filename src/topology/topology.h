@@ -77,6 +77,14 @@ class Topology {
   // Directed link a->b, or an invalid id when absent.
   [[nodiscard]] LinkId find_link(NodeId a, NodeId b) const;
 
+  // The other direction of `l`'s cable, without find_link's hash probe:
+  // add_cable() is the only way links are added, and it numbers a cable's
+  // two directions 2c and 2c + 1.
+  [[nodiscard]] LinkId reverse(LinkId l) const {
+    DCN_CHECK(l.value() < links_.size());
+    return LinkId(l.value() ^ 1u);
+  }
+
   [[nodiscard]] const std::vector<NodeId>& hosts() const { return hosts_; }
   [[nodiscard]] const std::vector<NodeId>& tors() const { return tors_; }
   [[nodiscard]] const std::vector<NodeId>& aggs() const { return aggs_; }

@@ -428,6 +428,26 @@ TEST(Auditor, CollectModeRecordsIncarnationRegression) {
             std::string::npos);
 }
 
+TEST(Auditor, FlagsAFlowWithoutACompletionTimer) {
+  const Topology t = build_fat_tree({.p = 4});
+  FlowSimulator sim(t);
+  baselines::EcmpAgent agent;
+  sim.set_agent(&agent);
+  fabric::Auditor auditor(sim, 0.25, /*fail_fast=*/false);
+  const FlowId id =
+      sim.submit(long_flow(t.hosts().front(), t.hosts().back(), 1));
+  sim.run_until(0.1);
+  auditor.check_now();
+  EXPECT_TRUE(auditor.violations().empty());
+
+  // A live flow with a rate but no completion deadline would never finish.
+  sim.events().disarm(FlowSimulator::completion_key(id));
+  auditor.check_now();
+  ASSERT_EQ(auditor.violations().size(), 1u);
+  EXPECT_NE(auditor.violations()[0].what.find("no completion timer"),
+            std::string::npos);
+}
+
 TEST(AuditorDeathTest, CorruptedRefcountAbortsInFailFastMode) {
   const Topology t = build_fat_tree({.p = 4});
   FlowSimulator sim(t);

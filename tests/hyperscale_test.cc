@@ -175,5 +175,29 @@ TEST(Recycling, ElephantTimerDoesNotFireOnRecycledSuccessor) {
   EXPECT_TRUE(sim.flow(b).is_elephant);
 }
 
+TEST(Recycling, FinishedFlowLeavesNoTimer) {
+  const Topology t = build_fat_tree({.p = 4});
+  SimConfig cfg;
+  cfg.recycle_flow_ids = true;
+  cfg.realloc_interval = 0;  // exact mode: no settle tick stays queued
+  FlowSimulator sim(t, cfg);
+  baselines::EcmpAgent agent;
+  sim.set_agent(&agent);
+
+  // A mouse arms a completion and a 1 s promotion timer; it finishes in
+  // ~8 ms, and must take both with it rather than leave them to fire.
+  const std::size_t before = sim.events().pending();
+  const FlowId a =
+      sim.submit(spec_at(t.hosts().front(), t.hosts().back(), 1 * kMiB, 0.0, 1));
+  sim.run_until(0.001);
+  EXPECT_EQ(sim.events().pending(), before + 2);
+  EXPECT_TRUE(sim.events().armed(FlowSimulator::completion_key(a)));
+  EXPECT_TRUE(sim.events().armed(FlowSimulator::promotion_key(a)));
+  sim.run_until_flows_done();
+  EXPECT_EQ(sim.events().pending(), before);
+  EXPECT_FALSE(sim.events().armed(FlowSimulator::completion_key(a)));
+  EXPECT_FALSE(sim.events().armed(FlowSimulator::promotion_key(a)));
+}
+
 }  // namespace
 }  // namespace dard::flowsim

@@ -164,7 +164,13 @@ void check_index_addressing(const Topology& t, bool fat_tree, int p) {
                                                               : half * half);
     }
     for (std::size_t i = 0; i < all.size(); ++i) {
-      expect_same_path(all[i], gen.path(s, d, i), s, d, i);
+      const Path one = gen.path(s, d, i);
+      expect_same_path(all[i], one, s, d, i);
+      LinkId links[4];
+      const std::size_t n = gen.path_links(s, d, i, links);
+      EXPECT_EQ(std::vector<LinkId>(links, links + n), one.links)
+          << "path_links of pair (" << s.value() << "," << d.value()
+          << ") index " << i;
       expect_valid_path(t, all[i], s, d);
       if (i > 0) {
         EXPECT_TRUE(precedes(all[i - 1], all[i])) << "order at " << i;

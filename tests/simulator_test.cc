@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "baselines/ecmp.h"
+#include "common/rng.h"
 #include "flowsim/event_queue.h"
 #include "flowsim/simulator.h"
 #include "topology/builders.h"
@@ -54,6 +61,236 @@ TEST(EventQueueTest, EventsCanScheduleEvents) {
   }
   EXPECT_EQ(fired, 2);
   EXPECT_DOUBLE_EQ(q.now(), 2.0);
+}
+
+TEST(EventQueueTest, TimersAndCallbacksAtEqualTimesFireInArmOrder) {
+  EventQueue q;
+  std::vector<std::string> order;
+  q.set_timer_handler(
+      [&](std::uint32_t key) { order.push_back("k" + std::to_string(key)); });
+  q.arm(3, 1.0);
+  q.schedule(1.0, [&] { order.push_back("c0"); });
+  q.arm(1, 1.0);
+  q.schedule(1.0, [&] { order.push_back("c1"); });
+  q.arm(2, 0.5);
+  while (q.run_next()) {
+  }
+  EXPECT_EQ(order, (std::vector<std::string>{"k2", "k3", "c0", "k1", "c1"}));
+}
+
+TEST(EventQueueTest, RearmTakesAFreshSeq) {
+  EventQueue q;
+  std::vector<std::string> order;
+  q.set_timer_handler(
+      [&](std::uint32_t key) { order.push_back("k" + std::to_string(key)); });
+  q.arm(7, 1.0);
+  q.schedule(1.0, [&] { order.push_back("c"); });
+  q.arm(7, 1.0);  // same time, but now after the callback
+  q.arm(8, 2.0);
+  q.arm(8, 0.5);  // decrease-key
+  while (q.run_next()) {
+  }
+  EXPECT_EQ(order, (std::vector<std::string>{"k8", "c", "k7"}));
+}
+
+TEST(EventQueueTest, DisarmOfAnUnarmedKeyIsANoOp) {
+  EventQueue q;
+  int fired = 0;
+  q.set_timer_handler([&](std::uint32_t) { ++fired; });
+  q.disarm(5);  // never armed, beyond every key seen
+  q.arm(1, 1.0);
+  q.disarm(0);  // below an armed key, itself unarmed
+  q.disarm(1);
+  q.disarm(1);  // already disarmed
+  EXPECT_FALSE(q.armed(1));
+  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(q.run_next());
+  EXPECT_EQ(fired, 0);
+}
+
+TEST(EventQueueTest, PendingCountsLiveEntriesOnly) {
+  EventQueue q;
+  std::vector<std::uint32_t> fired;
+  q.set_timer_handler([&](std::uint32_t key) { fired.push_back(key); });
+  q.schedule(1.0, [] {});
+  q.arm(0, 2.0);
+  q.arm(1, 3.0);
+  EXPECT_EQ(q.pending(), 3u);
+  q.arm(0, 4.0);  // a move, not a second entry
+  EXPECT_EQ(q.pending(), 3u);
+  q.disarm(1);
+  EXPECT_EQ(q.pending(), 2u);
+  EXPECT_TRUE(q.armed(0));
+  EXPECT_FALSE(q.armed(1));
+  q.run_until(3.5);
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_TRUE(fired.empty());
+  q.run_until(4.0);
+  EXPECT_EQ(fired, (std::vector<std::uint32_t>{0}));
+  EXPECT_FALSE(q.armed(0));
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueTest, FiredKeyIsUnarmedWhenItsHandlerRuns) {
+  EventQueue q;
+  int fired = 0;
+  q.set_timer_handler([&](std::uint32_t key) {
+    EXPECT_FALSE(q.armed(key));
+    if (++fired < 3) q.arm(key, q.now() + 1.0);  // re-arms itself
+  });
+  q.arm(4, 1.0);
+  while (q.run_next()) {
+  }
+  EXPECT_EQ(fired, 3);
+  EXPECT_DOUBLE_EQ(q.now(), 3.0);
+}
+
+TEST(EventQueueDeathTest, ArmingIntoThePastAborts) {
+  EventQueue q;
+  q.set_timer_handler([](std::uint32_t) {});
+  q.schedule(5.0, [] {});
+  q.run_until(5.0);
+  EXPECT_DEATH(q.arm(0, 1.0), "cannot arm a timer in the past");
+}
+
+TEST(EventQueueDeathTest, ArmingWithNoHandlerAborts) {
+  EventQueue q;
+  EXPECT_DEATH(q.arm(0, 1.0), "no handler installed");
+}
+
+// The lazily cancelled scheme keyed timers replace, kept as a reference:
+// every deadline is a fresh callback, and a per-key version skips the stale
+// ones when they fire.
+class VersionGuardedTimers {
+ public:
+  VersionGuardedTimers(EventQueue& q, std::function<void(std::uint32_t)> fire)
+      : q_(&q), fire_(std::move(fire)) {}
+
+  void arm(std::uint32_t key, Seconds at) {
+    grow(key);
+    armed_[key] = true;
+    q_->schedule(at, [this, key, v = ++version_[key]] {
+      if (version_[key] != v) {
+        stale_ = true;
+        return;
+      }
+      armed_[key] = false;
+      fire_(key);
+    });
+  }
+  void disarm(std::uint32_t key) {
+    grow(key);
+    ++version_[key];
+    armed_[key] = false;
+  }
+  [[nodiscard]] bool armed(std::uint32_t key) const {
+    return key < armed_.size() && armed_[key];
+  }
+  // Runs events up to and including the next live one.
+  void run_next() {
+    do {
+      stale_ = false;
+    } while (q_->run_next() && stale_);
+  }
+
+ private:
+  void grow(std::uint32_t key) {
+    if (key >= version_.size()) {
+      version_.resize(key + 1, 0);
+      armed_.resize(key + 1, false);
+    }
+  }
+  EventQueue* q_;
+  std::function<void(std::uint32_t)> fire_;
+  std::vector<std::uint64_t> version_;
+  std::vector<bool> armed_;
+  bool stale_ = false;
+};
+
+class KeyedTimers {
+ public:
+  KeyedTimers(EventQueue& q, std::function<void(std::uint32_t)> fire)
+      : q_(&q) {
+    q.set_timer_handler(std::move(fire));
+  }
+  void arm(std::uint32_t key, Seconds at) { q_->arm(key, at); }
+  void disarm(std::uint32_t key) { q_->disarm(key); }
+  [[nodiscard]] bool armed(std::uint32_t key) const { return q_->armed(key); }
+  void run_next() { q_->run_next(); }
+
+ private:
+  EventQueue* q_;
+};
+
+// One seeded script of schedule / arm / re-arm / disarm / run operations on
+// a coarse time grid, where ties are common. Fired timers and callbacks
+// arm and disarm further keys, as completions re-time other flows. Returns
+// the fired (time, id) sequence: callbacks by their order of scheduling,
+// timer keys as -1 - key.
+template <class Timers>
+std::vector<std::pair<Seconds, std::int64_t>> fire_script(std::uint64_t seed,
+                                                          int ops) {
+  constexpr std::uint32_t kKeys = 48;
+  EventQueue q;
+  Rng rng(seed);
+  std::vector<std::pair<Seconds, std::int64_t>> fired;
+  std::int64_t callbacks = 0;
+  std::size_t callbacks_pending = 0;
+  const auto later = [&] { return q.now() + 0.25 * rng.next_below(12); };
+  const auto key = [&] {
+    return static_cast<std::uint32_t>(rng.next_below(kKeys));
+  };
+  std::function<void(std::uint32_t)> on_timer;
+  Timers timers(q, [&](std::uint32_t k) { on_timer(k); });
+  on_timer = [&](std::uint32_t k) {
+    fired.emplace_back(q.now(), -1 - static_cast<std::int64_t>(k));
+    if (rng.next_below(3) == 0) timers.arm(key(), later());
+  };
+  const auto live = [&] {
+    std::size_t n = callbacks_pending;
+    for (std::uint32_t k = 0; k < kKeys; ++k) n += timers.armed(k) ? 1 : 0;
+    return n;
+  };
+  for (int op = 0; op < ops; ++op) {
+    switch (rng.next_below(8)) {
+      case 0:
+      case 1:
+        ++callbacks_pending;
+        q.schedule(later(), [&, id = callbacks++] {
+          --callbacks_pending;
+          fired.emplace_back(q.now(), id);
+          if (rng.next_below(4) == 0) timers.disarm(key());
+        });
+        break;
+      case 2:
+      case 3:
+      case 4:  // arms the key, or moves its pending deadline
+        timers.arm(key(), later());
+        break;
+      case 5:
+        timers.disarm(key());
+        break;
+      case 6:
+        // The reference would run its trailing stale events, and their
+        // clock, once nothing live is left; the script never asks it to.
+        if (live() > 0) timers.run_next();
+        break;
+      default:
+        q.run_until(q.now() + 0.25 * rng.next_below(4));
+        break;
+    }
+  }
+  while (live() > 0) timers.run_next();
+  return fired;
+}
+
+TEST(EventQueueTest, KeyedTimersFireLikeVersionGuardedCallbacks) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    const auto reference = fire_script<VersionGuardedTimers>(seed, 5000);
+    const auto keyed = fire_script<KeyedTimers>(seed, 5000);
+    ASSERT_GT(reference.size(), 2000u);
+    EXPECT_EQ(keyed, reference) << "seed " << seed;
+  }
 }
 
 class SimulatorTest : public ::testing::Test {

@@ -23,6 +23,18 @@ TEST(Topology, AddNodesAndCables) {
   EXPECT_EQ(t.find_link(b, a), ba);
 }
 
+TEST(Topology, ReverseIsTheCablesOtherDirection) {
+  for (const Topology& t :
+       {build_fat_tree({.p = 4}), build_clos(ClosParams{}),
+        build_three_tier(ThreeTierParams{}),
+        build_leaf_spine(LeafSpineParams{})}) {
+    for (const Link& l : t.links()) {
+      EXPECT_EQ(t.reverse(l.id), t.find_link(l.dst, l.src));
+      EXPECT_EQ(t.reverse(t.reverse(l.id)), l.id);
+    }
+  }
+}
+
 TEST(Topology, FindLinkMissing) {
   Topology t;
   const NodeId a = t.add_node(NodeKind::Tor, 0, 0);
