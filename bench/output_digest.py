@@ -1,13 +1,22 @@
 #!/usr/bin/env python3
-"""Digest dardsim's CSV output over a fixed scheduler x substrate matrix.
+"""Digest dardsim's output over a fixed scheduler x substrate matrix.
 
 Usage: python3 bench/output_digest.py PATH_TO_DARDSIM
 
-Runs every cell below with --csv and a fixed seed and prints one
-`<cell> <md5 of stdout>` line per run:
+Runs every cell below with a fixed seed and prints one `<name> <md5>` line
+per digest:
 
-  fluid  k=4 and k=8 x every fluid scheduler
-  packet k=4         x every packet scheduler
+  fluid  k=4 and k=8 x every fluid scheduler     md5 of --csv stdout
+  packet k=4         x every packet scheduler    md5 of --csv stdout
+  run dirs (--run-dir --spans): fluid DARD at k=4 and k=8, the chaos
+    preset, Hedera at k=8 and packet DARD at k=4   md5 of each artifact
+    below, and of `dardscope report` and `dardscope spans` output
+
+The run-dir cells exercise the trace and sample writers and dardscope's
+readers. They leave out --snapshot-period, because snapshot lines carry the
+host's RSS, and the dardscope digests drop the `run:` and `wall clock:`
+lines, which carry the directory path and host timings. dardscope is taken
+from dardsim's directory.
 
 Simulated results are deterministic, so two builds whose outputs should be
 identical print identical lines: run it on both and diff the outputs. A
@@ -15,8 +24,10 @@ cell whose run exits non-zero fails the script (exit 1).
 """
 
 import hashlib
+import os
 import subprocess
 import sys
+import tempfile
 
 FLUID_SCHEDULERS = ["ecmp", "wcmp", "pvlb", "dard", "hedera"]
 PACKET_SCHEDULERS = FLUID_SCHEDULERS + ["texcp"]
@@ -26,6 +37,27 @@ SEED = "7"
 # the packet cells stay small because every packet is an event.
 FLUID_ARGS = ["--flow-mb=256", "--rate=0.5", "--duration=5"]
 PACKET_ARGS = ["--flow-mb=4", "--rate=0.5", "--duration=2"]
+
+# The packet run-dir cell needs flows that become elephants (16 MiB flows
+# give 130 trace lines at seed 7); with 4 MiB flows its trace is empty.
+RUN_DIR_CELLS = [
+    ("rundir/fluid/k4/dard",
+     ["--substrate=fluid", "--size=4", "--scheduler=dard"] + FLUID_ARGS),
+    ("rundir/fluid/k8/dard",
+     ["--substrate=fluid", "--size=8", "--scheduler=dard"] + FLUID_ARGS),
+    ("rundir/fluid/k4/chaos",
+     ["--substrate=fluid", "--size=4", "--scheduler=dard", "--flow-mb=8",
+      "--rate=0.5", "--duration=8", "--query-interval=0.1",
+      "--schedule-interval=0.1", "--faults=chaos"]),
+    ("rundir/fluid/k8/hedera",
+     ["--substrate=fluid", "--size=8", "--scheduler=hedera"] + FLUID_ARGS),
+    ("rundir/packet/k4/dard",
+     ["--substrate=packet", "--size=4", "--scheduler=dard", "--flow-mb=16",
+      "--rate=0.5", "--duration=2"]),
+]
+RUN_DIR_FILES = ["trace.jsonl", "link_samples.csv", "agg_samples.csv",
+                 "control_bytes.csv"]
+HOST_LINES = (b"run:", b"wall clock:")
 
 
 def cells():
@@ -40,19 +72,62 @@ def cells():
                 f"--scheduler={sched}"] + PACKET_ARGS)
 
 
+def md5(data):
+    return hashlib.md5(data).hexdigest()
+
+
+def run_or_none(name, cmd):
+    """stdout of `cmd`, or None (with the reason on stderr) if it failed."""
+    run = subprocess.run(cmd, capture_output=True, timeout=600)
+    if run.returncode != 0:
+        sys.stderr.write(f"{name}: exit {run.returncode}: {' '.join(cmd)}\n")
+        sys.stderr.write(run.stderr.decode(errors="replace"))
+        return None
+    return run.stdout
+
+
+def digest_run_dir(name, args, dardsim, dardscope, root):
+    """Prints the digests of one run-dir cell; False if a run failed."""
+    run_dir = os.path.join(root, name.replace("/", "_"))
+    cmd = [dardsim, *args, "--spans", f"--run-dir={run_dir}", f"--seed={SEED}"]
+    if run_or_none(name, cmd) is None:
+        return False
+    for file in RUN_DIR_FILES:
+        path = os.path.join(run_dir, file)
+        if os.path.exists(path):
+            with open(path, "rb") as f:
+                print(f"{name}/{file} {md5(f.read())}", flush=True)
+        else:
+            print(f"{name}/{file} absent", flush=True)
+    for sub in ("report", "spans"):
+        out = run_or_none(f"{name}/{sub}", [dardscope, sub, run_dir])
+        if out is None:
+            return False
+        kept = [line for line in out.splitlines(keepends=True)
+                if not line.startswith(HOST_LINES)]
+        print(f"{name}/dardscope-{sub} {md5(b''.join(kept))}", flush=True)
+    return True
+
+
 def main(argv):
     if len(argv) != 2 or argv[1] in ("-h", "--help"):
         print(__doc__.strip(), file=sys.stderr)
         return 2
     dardsim = argv[1]
+    dardscope = os.path.join(os.path.dirname(os.path.abspath(dardsim)),
+                             "dardscope")
+    if not os.path.exists(dardscope):
+        sys.stderr.write(f"no dardscope next to {dardsim}\n")
+        return 1
     for name, args in cells():
-        cmd = [dardsim, *args, "--csv", f"--seed={SEED}"]
-        run = subprocess.run(cmd, capture_output=True, timeout=600)
-        if run.returncode != 0:
-            sys.stderr.write(f"{name}: exit {run.returncode}: {' '.join(cmd)}\n")
-            sys.stderr.write(run.stderr.decode(errors="replace"))
+        out = run_or_none(name, [dardsim, *args, "--csv", f"--seed={SEED}"])
+        if out is None:
             return 1
-        print(f"{name} {hashlib.md5(run.stdout).hexdigest()}", flush=True)
+        print(f"{name} {md5(out)}", flush=True)
+    with tempfile.TemporaryDirectory(prefix="output_digest_") as root:
+        for name, args in RUN_DIR_CELLS:
+            if not digest_run_dir(name, args, dardsim, dardscope, root):
+                return 1
     return 0
 
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/numtext.h"
 
 namespace dard::obs {
 
@@ -15,22 +16,49 @@ void TimeSeries::write_link_csv(std::ostream& os, bool include_idle) const {
       for (std::size_t l = 0; l < s.utilization.size(); ++l)
         if (s.utilization[l] > 0) interesting[l] = true;
   }
+  // Each row is rendered with numtext (the text `os << v` prints) into one
+  // reused buffer and handed to the stream in one write.
+  std::string row;
   for (const LinkSample& s : link_samples) {
     for (std::size_t l = 0; l < s.utilization.size(); ++l) {
       if (!interesting[l]) continue;
       const LinkMeta& meta = links[l];
-      os << s.time << ',' << l << ',' << meta.src << ',' << meta.dst << ','
-         << meta.capacity << ',' << s.utilization[l] * meta.capacity << ','
-         << s.utilization[l] << '\n';
+      row.clear();
+      numtext::append_double(row, s.time);
+      row += ',';
+      numtext::append_int(row, l);
+      row += ',';
+      row += meta.src;
+      row += ',';
+      row += meta.dst;
+      row += ',';
+      numtext::append_double(row, meta.capacity);
+      row += ',';
+      numtext::append_double(row, s.utilization[l] * meta.capacity);
+      row += ',';
+      numtext::append_double(row, s.utilization[l]);
+      row += '\n';
+      os.write(row.data(), static_cast<std::streamsize>(row.size()));
     }
   }
 }
 
 void TimeSeries::write_aggregate_csv(std::ostream& os) const {
   os << "time,active_flows,active_elephants,throughput_bps,max_utilization\n";
+  std::string row;
   for (const AggregateSample& s : aggregate_samples) {
-    os << s.time << ',' << s.active_flows << ',' << s.active_elephants << ','
-       << s.throughput_bps << ',' << s.max_utilization << '\n';
+    row.clear();
+    numtext::append_double(row, s.time);
+    row += ',';
+    numtext::append_int(row, s.active_flows);
+    row += ',';
+    numtext::append_int(row, s.active_elephants);
+    row += ',';
+    numtext::append_double(row, s.throughput_bps);
+    row += ',';
+    numtext::append_double(row, s.max_utilization);
+    row += '\n';
+    os.write(row.data(), static_cast<std::streamsize>(row.size()));
   }
 }
 

@@ -18,7 +18,11 @@
 namespace dard::obs {
 
 // JSON rendering of one event; only the fields meaningful for the event's
-// kind are emitted (see DESIGN.md "Observability" for the schema).
+// kind are emitted (see DESIGN.md "Observability" for the schema). Integers
+// print exactly and doubles as "%.6g" (common/numtext.h), the text a
+// default-formatted std::ostream prints. append_json appends the rendering
+// to `out`; to_json returns it.
+void append_json(std::string& out, const TraceEvent& e);
 [[nodiscard]] std::string to_json(const TraceEvent& e);
 
 class TraceSink {
@@ -29,6 +33,8 @@ class TraceSink {
 };
 
 // One JSON object per line ("JSON Lines"). The stream must outlive the sink.
+// Each event is rendered into one reused buffer and handed to the stream as
+// a single write before write() returns; buffering is the stream's.
 class JsonlTraceSink : public TraceSink {
  public:
   explicit JsonlTraceSink(std::ostream& out) : out_(&out) {}
@@ -40,6 +46,7 @@ class JsonlTraceSink : public TraceSink {
 
  private:
   std::ostream* out_;
+  std::string line_;
   std::size_t written_ = 0;
 };
 

@@ -1,10 +1,13 @@
 #include "scope/run_loader.h"
 
+#include <array>
 #include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
+#include "common/numtext.h"
 #include "harness/manifest.h"
 #include "scope/trace_load.h"
 
@@ -14,24 +17,35 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// Splits one CSV line on commas (the repo's CSV writers never quote — link
-// names and metric names contain no commas by construction).
-std::vector<std::string> split_csv(const std::string& line) {
-  std::vector<std::string> cells;
-  std::string cell;
-  std::istringstream in(line);
-  while (std::getline(in, cell, ',')) cells.push_back(cell);
-  if (!line.empty() && line.back() == ',') cells.emplace_back();
-  return cells;
-}
+// The first cells of one CSV line, split on commas (the repo's CSV writers
+// never quote — link names and metric names contain no commas by
+// construction). `count` is the line's whole cell count, which may exceed
+// the cells kept; an empty line has none.
+struct CsvCells {
+  static constexpr std::size_t kKept = 7;
+  std::array<std::string_view, kKept> cell;
+  std::size_t count = 0;
 
-double to_number(const std::string& s) {
-  if (s.empty()) return 0;
-  try {
-    return std::stod(s);
-  } catch (...) {
-    return 0;
+  explicit CsvCells(std::string_view line) {
+    if (line.empty()) return;
+    for (;;) {
+      const std::size_t comma = line.find(',');
+      if (count < kKept) cell[count] = line.substr(0, comma);
+      ++count;
+      if (comma == std::string_view::npos) return;
+      line.remove_prefix(comma + 1);
+    }
   }
+  [[nodiscard]] std::size_t size() const { return count; }
+  [[nodiscard]] std::string_view operator[](std::size_t i) const {
+    return cell[i];
+  }
+};
+
+// A cell's number; empty and non-numeric cells read as 0.
+double to_number(std::string_view s) {
+  double v = 0;
+  return numtext::parse_double(s, &v) ? v : 0;
 }
 
 }  // namespace
@@ -48,13 +62,13 @@ bool load_metrics_file(const std::string& path,
   std::getline(in, line);  // header: name,kind,count,value,mean,min,max
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    const auto cells = split_csv(line);
+    const CsvCells cells(line);
     if (cells.size() < 4) {
       *error = "malformed metrics row in " + path + ": " + line;
       return false;
     }
     MetricRow row;
-    row.kind = cells[1];
+    row.kind = std::string(cells[1]);
     row.count = to_number(cells[2]);
     row.value = to_number(cells[3]);
     if (cells.size() >= 7) {
@@ -62,13 +76,13 @@ bool load_metrics_file(const std::string& path,
       row.min = to_number(cells[5]);
       row.max = to_number(cells[6]);
     }
-    (*out)[cells[0]] = row;
+    (*out)[std::string(cells[0])] = row;
   }
   return true;
 }
 
 bool parse_link_sample_row(const std::string& line, LinkSample* out) {
-  const auto cells = split_csv(line);
+  const CsvCells cells(line);
   if (cells.size() < 7) return false;
   // The header row ("time,link,...") parses as zeros; reject it by the
   // non-numeric first cell instead of silently folding it in.
@@ -78,8 +92,8 @@ bool parse_link_sample_row(const std::string& line, LinkSample* out) {
     return false;
   out->time = to_number(cells[0]);
   out->link = static_cast<std::uint32_t>(to_number(cells[1]));
-  out->src = cells[2];
-  out->dst = cells[3];
+  out->src.assign(cells[2]);
+  out->dst.assign(cells[3]);
   out->capacity_bps = to_number(cells[4]);
   out->used_bps = to_number(cells[5]);
   out->utilization = to_number(cells[6]);
@@ -120,7 +134,7 @@ bool load_agg_samples_csv(const std::string& path, std::vector<AggSample>* out,
   std::getline(in, line);  // header
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    const auto cells = split_csv(line);
+    const CsvCells cells(line);
     if (cells.size() < 5) {
       *error = "malformed aggregate sample row in " + path + ": " + line;
       return false;
@@ -148,15 +162,15 @@ bool load_control_bytes_csv(const std::string& path,
   std::getline(in, line);  // header: link,src,dst,control_bytes
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    const auto cells = split_csv(line);
+    const CsvCells cells(line);
     if (cells.size() < 4) {
       *error = "malformed control bytes row in " + path + ": " + line;
       return false;
     }
     ControlByteRow r;
     r.link = static_cast<std::uint32_t>(to_number(cells[0]));
-    r.src = cells[1];
-    r.dst = cells[2];
+    r.src.assign(cells[1]);
+    r.dst.assign(cells[2]);
     r.bytes = static_cast<std::uint64_t>(to_number(cells[3]));
     out->push_back(std::move(r));
   }

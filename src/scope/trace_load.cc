@@ -1,7 +1,10 @@
 #include "scope/trace_load.h"
 
+#include <algorithm>
+#include <array>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "common/json.h"
 
@@ -9,47 +12,235 @@ namespace dard::scope {
 
 namespace {
 
+using json::Token;
 using obs::FaultAction;
 using obs::TraceEventKind;
 
+// Every member name a trace line (or a snapshot's profile entry) can carry.
+// A line is decoded in one tokenizer pass into a slot per name; the slots
+// are then read in a fixed order with json.h's accessor messages, so errors
+// and defaults do not depend on member order.
+constexpr std::string_view kFieldNames[] = {
+    "v", "kind", "t",
+    // flow events
+    "flow", "src", "dst", "size", "path", "from", "to", "bonf_from",
+    "bonf_to", "bonf_delta", "cause_id",
+    // dard_round
+    "host", "dst_tor", "worst_path", "best_path", "worst_bonf", "best_bonf",
+    "est_gain", "delta", "accepted", "round_id",
+    // fault
+    "action", "a", "b", "fault_id",
+    // snapshot
+    "seq", "flows", "elephants", "queue_depth", "throughput_bps",
+    "max_utilization", "rss_bytes", "path_store_bytes", "counters", "profile",
+    // span
+    "span", "id", "parent", "peer", "attempts", "timeouts", "lost", "bytes",
+    "dur_s", "ok",
+    // snapshot profile entries
+    "section", "count", "total_s", "mean_s", "p50_s", "p95_s", "p99_s",
+    "p999_s", "max_s"};
+constexpr std::size_t kFieldCount = std::size(kFieldNames);
+static_assert(kFieldCount <= 64, "Fields::present is a 64-bit mask");
+
+// Compile-time index of a field name; an unknown name does not compile.
+consteval std::size_t F(std::string_view name) {
+  for (std::size_t i = 0; i < kFieldCount; ++i)
+    if (kFieldNames[i] == name) return i;
+  throw "not a trace field";
+}
+
+// Open-addressed name -> index table, built at compile time.
+constexpr std::size_t kTableSize = 256;
+constexpr std::size_t table_hash(std::string_view k) {
+  return (k.size() * 31 + static_cast<unsigned char>(k.front()) * 7 +
+          static_cast<unsigned char>(k.back()) * 3 +
+          static_cast<unsigned char>(k[k.size() / 2])) %
+         kTableSize;
+}
+constexpr auto kFieldTable = [] {
+  std::array<std::int8_t, kTableSize> table{};
+  table.fill(-1);
+  for (std::size_t i = 0; i < kFieldCount; ++i) {
+    std::size_t h = table_hash(kFieldNames[i]);
+    while (table[h] >= 0) h = (h + 1) % kTableSize;
+    table[h] = static_cast<std::int8_t>(i);
+  }
+  return table;
+}();
+
+int field_index(std::string_view name) {
+  if (name.empty()) return -1;
+  for (std::size_t h = table_hash(name);; h = (h + 1) % kTableSize) {
+    const int i = kFieldTable[h];
+    if (i < 0 || kFieldNames[i] == name) return i;
+  }
+}
+
+// One object's known members, the last occurrence of a name winning, as in
+// the std::map of json.h's DOM. A slot is valid only where its `present`
+// bit is set.
+struct Fields {
+  struct Slot {
+    Token type;  // String, Number, Bool, BeginObject or BeginArray
+    bool escaped;
+    bool boolean;
+    double number;
+    std::string_view text;  // String: raw contents; containers: whole value
+  };
+  std::uint64_t present = 0;
+  std::array<Slot, kFieldCount> slot;
+
+  [[nodiscard]] const Slot* find(std::size_t id) const {
+    return (present >> id & 1U) != 0 ? &slot[id] : nullptr;
+  }
+
+  // The contracts of json.h's get_* accessors, over slots.
+  bool number(std::size_t id, bool required, double fallback, double* out,
+              std::string* error) const {
+    const Slot* s = find(id);
+    if (s == nullptr) {
+      if (required) {
+        *error = "missing field \"" + std::string(kFieldNames[id]) + "\"";
+        return false;
+      }
+      *out = fallback;
+      return true;
+    }
+    if (s->type != Token::Number) {
+      *error =
+          "field \"" + std::string(kFieldNames[id]) + "\" must be a number";
+      return false;
+    }
+    *out = s->number;
+    return true;
+  }
+
+  // get_string's contract. *out views the line, or *scratch when the string
+  // had escapes.
+  bool string(std::size_t id, std::string* scratch, std::string_view* out,
+              std::string* error) const {
+    const Slot* s = find(id);
+    if (s == nullptr || s->type != Token::String) {
+      *error = "missing or non-string field \"" +
+               std::string(kFieldNames[id]) + "\"";
+      return false;
+    }
+    if (!s->escaped) {
+      *out = s->text;
+      return true;
+    }
+    *scratch = json::unescape(s->text);
+    *out = *scratch;
+    return true;
+  }
+
+  bool boolean(std::size_t id, bool fallback, bool* out,
+               std::string* error) const {
+    const Slot* s = find(id);
+    if (s == nullptr) {
+      *out = fallback;
+      return true;
+    }
+    if (s->type != Token::Bool) {
+      *error =
+          "field \"" + std::string(kFieldNames[id]) + "\" must be a boolean";
+      return false;
+    }
+    *out = s->boolean;
+    return true;
+  }
+
+  // The container's text, or empty when absent (not an error) or mistyped
+  // (*ok cleared, *error set).
+  std::string_view container(std::size_t id, Token type, std::string* error,
+                             bool* ok) const {
+    const Slot* s = find(id);
+    if (s == nullptr) return {};
+    if (s->type != type) {
+      *error = "\"" + std::string(kFieldNames[id]) + "\" must be " +
+               (type == Token::BeginObject ? "an object" : "an array");
+      *ok = false;
+      return {};
+    }
+    return s->text;
+  }
+};
+
+// Reads the members of the object whose BeginObject `tk` just returned.
+// Returns false on a syntax error (tk.error() says which).
+bool read_members(std::string_view text, json::Tokenizer& tk, Fields* f) {
+  for (Token t = tk.next(); t != Token::EndObject; t = tk.next()) {
+    if (t != Token::Key) return false;
+    // Escapes never spell a known name: its characters need none.
+    const int id = tk.escaped() ? -1 : field_index(tk.raw());
+    const Token value = tk.next();
+    if (id < 0) {
+      if (!tk.skip(value)) return false;
+      continue;
+    }
+    Fields::Slot& s = f->slot[static_cast<std::size_t>(id)];
+    s.type = value;
+    switch (value) {
+      case Token::Number:
+        s.number = tk.number();
+        break;
+      case Token::String:
+        s.text = tk.raw();
+        s.escaped = tk.escaped();
+        break;
+      case Token::Bool:
+        s.boolean = tk.boolean();
+        break;
+      case Token::BeginObject:
+      case Token::BeginArray: {
+        const std::size_t begin = tk.token_offset();
+        if (!tk.skip(value)) return false;
+        s.text = text.substr(begin, tk.offset() - begin);
+        break;
+      }
+      default:
+        return false;  // Error
+    }
+    f->present |= std::uint64_t{1} << id;
+  }
+  return true;
+}
+
 // Optional numeric field with a typed destination; absent fields keep the
 // TraceEvent default, mistyped fields fail the line.
-bool read_u64(const json::Value& obj, const char* key, std::uint64_t* out,
+bool read_u64(const Fields& f, std::size_t id, std::uint64_t* out,
               std::string* error) {
   double d = -1;
-  if (!json::get_number(obj, key, /*required=*/false, -1, &d, error))
-    return false;
+  if (!f.number(id, /*required=*/false, -1, &d, error)) return false;
   if (d >= 0) *out = static_cast<std::uint64_t>(d);
   return true;
 }
 
-bool read_id(const json::Value& obj, const char* key, std::uint32_t* out,
+bool read_id(const Fields& f, std::size_t id, std::uint32_t* out,
              std::string* error) {
   double d = -1;
-  if (!json::get_number(obj, key, /*required=*/false, -1, &d, error))
-    return false;
+  if (!f.number(id, /*required=*/false, -1, &d, error)) return false;
   if (d >= 0) *out = static_cast<std::uint32_t>(d);
   return true;
 }
 
 template <class IdT>
-bool read_strong_id(const json::Value& obj, const char* key, IdT* out,
+bool read_strong_id(const Fields& f, std::size_t id, IdT* out,
                     std::string* error) {
   double d = -1;
-  if (!json::get_number(obj, key, /*required=*/false, -1, &d, error))
-    return false;
+  if (!f.number(id, /*required=*/false, -1, &d, error)) return false;
   if (d >= 0) *out = IdT(static_cast<typename IdT::value_type>(d));
   return true;
 }
 
-bool read_double(const json::Value& obj, const char* key, double* out,
+bool read_double(const Fields& f, std::size_t id, double* out,
                  std::string* error) {
-  return json::get_number(obj, key, /*required=*/false, *out, out, error);
+  return f.number(id, /*required=*/false, *out, out, error);
 }
 
 }  // namespace
 
-bool kind_from_string(const std::string& s, TraceEventKind* out) {
+bool kind_from_string(std::string_view s, TraceEventKind* out) {
   if (s == "flow_arrive") *out = TraceEventKind::FlowArrive;
   else if (s == "flow_elephant") *out = TraceEventKind::FlowElephant;
   else if (s == "flow_move") *out = TraceEventKind::FlowMove;
@@ -62,7 +253,7 @@ bool kind_from_string(const std::string& s, TraceEventKind* out) {
   return true;
 }
 
-bool span_kind_from_string(const std::string& s, obs::SpanKind* out) {
+bool span_kind_from_string(std::string_view s, obs::SpanKind* out) {
   if (s == "none") *out = obs::SpanKind::None;
   else if (s == "query") *out = obs::SpanKind::Query;
   else if (s == "refresh") *out = obs::SpanKind::Refresh;
@@ -72,7 +263,7 @@ bool span_kind_from_string(const std::string& s, obs::SpanKind* out) {
   return true;
 }
 
-bool fault_action_from_string(const std::string& s, FaultAction* out) {
+bool fault_action_from_string(std::string_view s, FaultAction* out) {
   if (s == "none") *out = FaultAction::None;
   else if (s == "cable_down") *out = FaultAction::CableDown;
   else if (s == "cable_up") *out = FaultAction::CableUp;
@@ -86,18 +277,116 @@ bool fault_action_from_string(const std::string& s, FaultAction* out) {
   return true;
 }
 
-bool parse_trace_line(const std::string& line, obs::TraceEvent* out,
-                      std::string* error) {
-  const auto root = json::parse(line, error);
-  if (!root) return false;
-  if (root->kind != json::Value::Kind::Object) {
-    *error = "trace line is not a JSON object";
-    return false;
-  }
+namespace {
 
-  double version = 0;
-  if (!json::get_number(*root, "v", /*required=*/true, 0, &version, error))
+// A snapshot's "counters" object: std::map order (sorted by name, the last
+// of a repeated name winning), and every value a number.
+bool read_counters(std::string_view text, obs::SnapshotStats* stats,
+                   std::string* error) {
+  struct Entry {
+    std::string name;
+    bool is_number;
+    double value;
+  };
+  std::vector<Entry> entries;
+  json::Tokenizer tk(text);
+  tk.next();  // BeginObject; `text` was validated with the whole line
+  for (Token t = tk.next(); t == Token::Key; t = tk.next()) {
+    std::string name = tk.text();
+    const Token value = tk.next();
+    entries.push_back({std::move(name), value == Token::Number,
+                       value == Token::Number ? tk.number() : 0});
+    if (!tk.skip(value)) {
+      *error = tk.error();
+      return false;
+    }
+  }
+  std::stable_sort(
+      entries.begin(), entries.end(),
+      [](const Entry& a, const Entry& b) { return a.name < b.name; });
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (i + 1 < entries.size() && entries[i + 1].name == entries[i].name)
+      continue;
+    if (!entries[i].is_number) {
+      *error = "snapshot counter " + entries[i].name + " is not a number";
+      return false;
+    }
+    stats->counters.emplace_back(std::move(entries[i].name), entries[i].value);
+  }
+  return true;
+}
+
+// A snapshot's "profile" array of per-section summaries.
+bool read_profile(std::string_view text, obs::SnapshotStats* stats,
+                  std::string* error) {
+  json::Tokenizer tk(text);
+  tk.next();  // BeginArray; validated with the whole line
+  for (Token t = tk.next(); t != Token::EndArray; t = tk.next()) {
+    if (t != Token::BeginObject) {
+      *error = "snapshot profile entry is not an object";
+      return false;
+    }
+    Fields f;
+    if (!read_members(text, tk, &f)) {
+      *error = tk.error();
+      return false;
+    }
+    obs::ProfileSummary p;
+    std::string scratch;
+    std::string_view section;
+    if (!f.string(F("section"), &scratch, &section, error) ||
+        !read_u64(f, F("count"), &p.count, error) ||
+        !read_double(f, F("total_s"), &p.total_s, error) ||
+        !read_double(f, F("mean_s"), &p.mean_s, error) ||
+        !read_double(f, F("p50_s"), &p.p50_s, error) ||
+        !read_double(f, F("p95_s"), &p.p95_s, error) ||
+        !read_double(f, F("p99_s"), &p.p99_s, error) ||
+        // v4 snapshots predate the p99.9 column; absent keeps 0.
+        !read_double(f, F("p999_s"), &p.p999_s, error) ||
+        !read_double(f, F("max_s"), &p.max_s, error))
+      return false;
+    p.section.assign(section);
+    stats->profile.push_back(std::move(p));
+  }
+  return true;
+}
+
+bool read_snapshot(const Fields& f, obs::TraceEvent* e, std::string* error) {
+  auto stats = std::make_shared<obs::SnapshotStats>();
+  double flows = 0;
+  double elephants = 0;
+  double depth = 0;
+  if (!read_u64(f, F("seq"), &stats->seq, error) ||
+      !read_double(f, F("flows"), &flows, error) ||
+      !read_double(f, F("elephants"), &elephants, error) ||
+      !read_double(f, F("queue_depth"), &depth, error) ||
+      !read_double(f, F("throughput_bps"), &stats->throughput_bps, error) ||
+      !read_double(f, F("max_utilization"), &stats->max_utilization, error) ||
+      !read_double(f, F("rss_bytes"), &stats->rss_bytes, error) ||
+      !read_double(f, F("path_store_bytes"), &stats->path_store_bytes, error))
     return false;
+  stats->active_flows = static_cast<std::size_t>(flows);
+  stats->active_elephants = static_cast<std::size_t>(elephants);
+  stats->event_queue_depth = static_cast<std::size_t>(depth);
+  bool section_ok = true;
+  const std::string_view counters =
+      f.container(F("counters"), Token::BeginObject, error, &section_ok);
+  if (!counters.empty() && !read_counters(counters, stats.get(), error))
+    return false;
+  if (!section_ok) return false;
+  const std::string_view profile =
+      f.container(F("profile"), Token::BeginArray, error, &section_ok);
+  if (!profile.empty() && !read_profile(profile, stats.get(), error))
+    return false;
+  if (!section_ok) return false;
+  e->snapshot = std::move(stats);
+  return true;
+}
+
+// The members of one trace line, in the order the schema lists them.
+bool decode(const Fields& f, obs::TraceEvent* out, std::string* error) {
+  double version = 0;
+  if (!f.number(F("v"), /*required=*/true, 0, &version, error)) return false;
   // Backward-compatible window: a v2 line is a valid v3 line (v3 only adds
   // the snapshot kind). Older or newer schemas are refused outright.
   if (static_cast<int>(version) < obs::kMinReadableTraceSchemaVersion ||
@@ -112,156 +401,121 @@ bool parse_trace_line(const std::string& line, obs::TraceEvent* out,
     return false;
   }
 
-  std::string kind_name;
-  if (!json::get_string(*root, "kind", &kind_name, error)) return false;
+  std::string scratch;
+  std::string_view name;
+  if (!f.string(F("kind"), &scratch, &name, error)) return false;
   obs::TraceEvent e;
-  if (!kind_from_string(kind_name, &e.kind)) {
-    *error = "unknown trace event kind: " + kind_name;
+  if (!kind_from_string(name, &e.kind)) {
+    *error = "unknown trace event kind: " + std::string(name);
     return false;
   }
-  if (!json::get_number(*root, "t", /*required=*/true, 0, &e.time, error))
-    return false;
+  if (!f.number(F("t"), /*required=*/true, 0, &e.time, error)) return false;
 
   bool ok = true;
   switch (e.kind) {
     case TraceEventKind::FlowArrive: {
       double size = 0;
-      ok = read_strong_id(*root, "flow", &e.flow, error) &&
-           read_strong_id(*root, "src", &e.src_host, error) &&
-           read_strong_id(*root, "dst", &e.dst_host, error) &&
-           read_double(*root, "size", &size, error) &&
-           read_id(*root, "path", &e.path_to, error);
+      ok = read_strong_id(f, F("flow"), &e.flow, error) &&
+           read_strong_id(f, F("src"), &e.src_host, error) &&
+           read_strong_id(f, F("dst"), &e.dst_host, error) &&
+           read_double(f, F("size"), &size, error) &&
+           read_id(f, F("path"), &e.path_to, error);
       e.size = static_cast<Bytes>(size);
       break;
     }
     case TraceEventKind::FlowElephant:
-      ok = read_strong_id(*root, "flow", &e.flow, error) &&
-           read_id(*root, "path", &e.path_to, error);
+      ok = read_strong_id(f, F("flow"), &e.flow, error) &&
+           read_id(f, F("path"), &e.path_to, error);
       break;
     case TraceEventKind::FlowMove:
-      ok = read_strong_id(*root, "flow", &e.flow, error) &&
-           read_id(*root, "from", &e.path_from, error) &&
-           read_id(*root, "to", &e.path_to, error) &&
-           read_double(*root, "bonf_from", &e.bonf_from, error) &&
-           read_double(*root, "bonf_to", &e.bonf_to, error) &&
-           read_double(*root, "bonf_delta", &e.gain, error) &&
-           read_u64(*root, "cause_id", &e.cause_id, error);
+      ok = read_strong_id(f, F("flow"), &e.flow, error) &&
+           read_id(f, F("from"), &e.path_from, error) &&
+           read_id(f, F("to"), &e.path_to, error) &&
+           read_double(f, F("bonf_from"), &e.bonf_from, error) &&
+           read_double(f, F("bonf_to"), &e.bonf_to, error) &&
+           read_double(f, F("bonf_delta"), &e.gain, error) &&
+           read_u64(f, F("cause_id"), &e.cause_id, error);
       break;
     case TraceEventKind::FlowComplete: {
       double size = 0;
-      ok = read_strong_id(*root, "flow", &e.flow, error) &&
-           read_double(*root, "size", &size, error);
+      ok = read_strong_id(f, F("flow"), &e.flow, error) &&
+           read_double(f, F("size"), &size, error);
       e.size = static_cast<Bytes>(size);
       break;
     }
     case TraceEventKind::DardRound:
-      ok = read_strong_id(*root, "host", &e.src_host, error) &&
-           read_strong_id(*root, "dst_tor", &e.dst_host, error) &&
-           read_id(*root, "worst_path", &e.path_from, error) &&
-           read_id(*root, "best_path", &e.path_to, error) &&
-           read_double(*root, "worst_bonf", &e.bonf_from, error) &&
-           read_double(*root, "best_bonf", &e.bonf_to, error) &&
-           read_double(*root, "est_gain", &e.gain, error) &&
-           read_double(*root, "delta", &e.delta_threshold, error) &&
-           json::get_bool(*root, "accepted", false, &e.accepted, error) &&
-           read_u64(*root, "round_id", &e.cause_id, error);
+      ok = read_strong_id(f, F("host"), &e.src_host, error) &&
+           read_strong_id(f, F("dst_tor"), &e.dst_host, error) &&
+           read_id(f, F("worst_path"), &e.path_from, error) &&
+           read_id(f, F("best_path"), &e.path_to, error) &&
+           read_double(f, F("worst_bonf"), &e.bonf_from, error) &&
+           read_double(f, F("best_bonf"), &e.bonf_to, error) &&
+           read_double(f, F("est_gain"), &e.gain, error) &&
+           read_double(f, F("delta"), &e.delta_threshold, error) &&
+           f.boolean(F("accepted"), false, &e.accepted, error) &&
+           read_u64(f, F("round_id"), &e.cause_id, error);
       break;
     case TraceEventKind::Fault: {
-      std::string action;
-      if (!json::get_string(*root, "action", &action, error)) return false;
-      if (!fault_action_from_string(action, &e.fault_action) ||
+      if (!f.string(F("action"), &scratch, &name, error)) return false;
+      if (!fault_action_from_string(name, &e.fault_action) ||
           e.fault_action == FaultAction::None) {
-        *error = "unknown fault action: " + action;
+        *error = "unknown fault action: " + std::string(name);
         return false;
       }
-      ok = read_strong_id(*root, "a", &e.src_host, error) &&
-           read_strong_id(*root, "b", &e.dst_host, error) &&
-           read_u64(*root, "fault_id", &e.cause_id, error);
+      ok = read_strong_id(f, F("a"), &e.src_host, error) &&
+           read_strong_id(f, F("b"), &e.dst_host, error) &&
+           read_u64(f, F("fault_id"), &e.cause_id, error);
       break;
     }
-    case TraceEventKind::Snapshot: {
-      auto stats = std::make_shared<obs::SnapshotStats>();
-      double flows = 0;
-      double elephants = 0;
-      double depth = 0;
-      ok = read_u64(*root, "seq", &stats->seq, error) &&
-           read_double(*root, "flows", &flows, error) &&
-           read_double(*root, "elephants", &elephants, error) &&
-           read_double(*root, "queue_depth", &depth, error) &&
-           read_double(*root, "throughput_bps", &stats->throughput_bps,
-                       error) &&
-           read_double(*root, "max_utilization", &stats->max_utilization,
-                       error) &&
-           read_double(*root, "rss_bytes", &stats->rss_bytes, error) &&
-           read_double(*root, "path_store_bytes", &stats->path_store_bytes,
-                       error);
-      if (!ok) break;
-      stats->active_flows = static_cast<std::size_t>(flows);
-      stats->active_elephants = static_cast<std::size_t>(elephants);
-      stats->event_queue_depth = static_cast<std::size_t>(depth);
-      bool section_ok = true;
-      if (const json::Value* counters =
-              json::get_object(*root, "counters", error, &section_ok)) {
-        for (const auto& [name, value] : counters->object) {
-          if (value->kind != json::Value::Kind::Number) {
-            *error = "snapshot counter " + name + " is not a number";
-            return false;
-          }
-          stats->counters.emplace_back(name, value->number);
-        }
-      }
-      if (!section_ok) return false;
-      if (const json::Value* profile =
-              json::get_array(*root, "profile", error, &section_ok)) {
-        for (const auto& entry : profile->array) {
-          if (entry->kind != json::Value::Kind::Object) {
-            *error = "snapshot profile entry is not an object";
-            return false;
-          }
-          obs::ProfileSummary p;
-          if (!json::get_string(*entry, "section", &p.section, error) ||
-              !read_u64(*entry, "count", &p.count, error) ||
-              !read_double(*entry, "total_s", &p.total_s, error) ||
-              !read_double(*entry, "mean_s", &p.mean_s, error) ||
-              !read_double(*entry, "p50_s", &p.p50_s, error) ||
-              !read_double(*entry, "p95_s", &p.p95_s, error) ||
-              !read_double(*entry, "p99_s", &p.p99_s, error) ||
-              // v4 snapshots predate the p99.9 column; absent keeps 0.
-              !read_double(*entry, "p999_s", &p.p999_s, error) ||
-              !read_double(*entry, "max_s", &p.max_s, error))
-            return false;
-          stats->profile.push_back(std::move(p));
-        }
-      }
-      if (!section_ok) return false;
-      e.snapshot = std::move(stats);
+    case TraceEventKind::Snapshot:
+      ok = read_snapshot(f, &e, error);
       break;
-    }
     case TraceEventKind::Span: {
-      std::string span_name;
-      if (!json::get_string(*root, "span", &span_name, error)) return false;
-      if (!span_kind_from_string(span_name, &e.span_kind) ||
+      if (!f.string(F("span"), &scratch, &name, error)) return false;
+      if (!span_kind_from_string(name, &e.span_kind) ||
           e.span_kind == obs::SpanKind::None) {
-        *error = "unknown span kind: " + span_name;
+        *error = "unknown span kind: " + std::string(name);
         return false;
       }
-      ok = read_u64(*root, "id", &e.cause_id, error) &&
-           read_u64(*root, "parent", &e.parent_id, error) &&
-           read_strong_id(*root, "host", &e.src_host, error) &&
-           read_strong_id(*root, "peer", &e.dst_host, error) &&
-           read_strong_id(*root, "flow", &e.flow, error) &&
-           read_id(*root, "attempts", &e.span_attempts, error) &&
-           read_id(*root, "timeouts", &e.span_timeouts, error) &&
-           read_id(*root, "lost", &e.span_lost, error) &&
-           read_u64(*root, "bytes", &e.span_bytes, error) &&
-           read_double(*root, "dur_s", &e.span_duration, error) &&
-           json::get_bool(*root, "ok", false, &e.accepted, error);
+      ok = read_u64(f, F("id"), &e.cause_id, error) &&
+           read_u64(f, F("parent"), &e.parent_id, error) &&
+           read_strong_id(f, F("host"), &e.src_host, error) &&
+           read_strong_id(f, F("peer"), &e.dst_host, error) &&
+           read_strong_id(f, F("flow"), &e.flow, error) &&
+           read_id(f, F("attempts"), &e.span_attempts, error) &&
+           read_id(f, F("timeouts"), &e.span_timeouts, error) &&
+           read_id(f, F("lost"), &e.span_lost, error) &&
+           read_u64(f, F("bytes"), &e.span_bytes, error) &&
+           read_double(f, F("dur_s"), &e.span_duration, error) &&
+           f.boolean(F("ok"), false, &e.accepted, error);
       break;
     }
   }
   if (!ok) return false;
-  *out = e;
+  *out = std::move(e);
   return true;
+}
+
+}  // namespace
+
+bool parse_trace_line(const std::string& line, obs::TraceEvent* out,
+                      std::string* error) {
+  // One pass validates the whole line before any member is read, so a
+  // syntax error anywhere wins over a member error.
+  json::Tokenizer tk(line);
+  Fields f;
+  const Token first = tk.next();
+  const bool valid = first == Token::BeginObject ? read_members(line, tk, &f)
+                                                 : tk.skip(first);
+  if (!valid || tk.next() != Token::End) {
+    *error = tk.error();
+    return false;
+  }
+  if (first != Token::BeginObject) {
+    *error = "trace line is not a JSON object";
+    return false;
+  }
+  return decode(f, out, error);
 }
 
 bool load_trace_file(const std::string& path,
@@ -284,7 +538,7 @@ bool load_trace_file(const std::string& path,
       *error = os.str();
       return false;
     }
-    out->push_back(e);
+    out->push_back(std::move(e));
   }
   return true;
 }

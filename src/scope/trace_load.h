@@ -8,6 +8,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/observer.h"
@@ -16,17 +17,18 @@ namespace dard::scope {
 
 // Inverse of obs::to_string for event kinds / fault actions. Returns false
 // on an unknown name.
-[[nodiscard]] bool kind_from_string(const std::string& s,
+[[nodiscard]] bool kind_from_string(std::string_view s,
                                     obs::TraceEventKind* out);
-[[nodiscard]] bool fault_action_from_string(const std::string& s,
+[[nodiscard]] bool fault_action_from_string(std::string_view s,
                                             obs::FaultAction* out);
-[[nodiscard]] bool span_kind_from_string(const std::string& s,
+[[nodiscard]] bool span_kind_from_string(std::string_view s,
                                          obs::SpanKind* out);
 
-// Parses one JSONL line into a TraceEvent. On failure fills *error and
-// returns false; *out is unspecified. Unknown extra fields are ignored
-// (forward compatibility within a schema version), unknown kinds and
-// mismatched versions are errors.
+// Parses one JSONL line into a TraceEvent, straight off json::Tokenizer
+// (no DOM; DESIGN.md §12). On failure fills *error and returns false; *out
+// is unspecified. Unknown extra fields are validated and ignored (forward
+// compatibility within a schema version), a repeated field keeps its last
+// value, unknown kinds and mismatched versions are errors.
 [[nodiscard]] bool parse_trace_line(const std::string& line,
                                     obs::TraceEvent* out, std::string* error);
 
