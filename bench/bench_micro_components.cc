@@ -1,9 +1,12 @@
 // Microbenchmarks (google-benchmark) for the hot components:
 // longest-prefix forwarding lookups, max-min rate allocation (one-shot,
 // and scoped-vs-full reallocation churn), path enumeration, path encoding,
-// and monitor build and refresh. Results are mirrored to BENCH_micro.json for the
-// CI regression gate (bench/check_bench_regression.py).
+// monitor build and refresh, and the packet substrate's per-hop cost.
+// Results are mirrored to BENCH_micro.json for the CI regression gate
+// (bench/check_bench_regression.py).
 #include <benchmark/benchmark.h>
+
+#include <chrono>
 
 #include "addressing/hierarchical.h"
 #include "baselines/ecmp.h"
@@ -13,6 +16,7 @@
 #include "flowsim/simulator.h"
 #include "micro_json_main.h"
 #include "obs/profiler.h"
+#include "pktsim/network.h"
 #include "realloc_workload.h"
 #include "topology/builders.h"
 #include "topology/path_gen.h"
@@ -296,6 +300,53 @@ void BM_MonitorBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MonitorBuild)->Arg(8)->Arg(32);
+
+// One packet hop through pktsim::PacketNetwork: a window of data packets
+// sent at once along a 6-hop inter-pod route of a p=4 fat tree at 100 Mbps,
+// then run to delivery. Queues hold the whole window, so every packet
+// crosses all six links; ns_per_hop is the wall time per link crossed,
+// event dispatch included.
+void BM_PacketHop(benchmark::State& state) {
+  const auto t = topo::build_fat_tree({.p = 4,
+                                       .hosts_per_tor = -1,
+                                       .link_capacity = 100 * kMbps,
+                                       .link_delay = 0.0001});
+  const auto window = state.range(0);
+  flowsim::EventQueue events;
+  pktsim::PacketNetwork net(
+      t, events, static_cast<Bytes>(window) * pktsim::kDataPacketBytes);
+  const NodeId src = t.hosts().front();
+  const NodeId dst = t.hosts().back();
+  topo::PathRepository repo(t);
+  const auto route =
+      topo::host_path(t, src, dst,
+                      repo.tor_paths(t.tor_of_host(src), t.tor_of_host(dst))
+                          .front())
+          .links;
+  std::int64_t delivered = 0;
+  net.set_delivery_handler(
+      [&delivered](const pktsim::Packet&) { ++delivered; });
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    for (std::int64_t i = 0; i < window; ++i) {
+      pktsim::Packet p;
+      p.flow = FlowId(0);
+      p.seq = static_cast<std::uint64_t>(i);
+      p.route = route;
+      net.send(p);
+    }
+    while (events.run_next()) {
+    }
+    benchmark::DoNotOptimize(delivered);
+  }
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  if (delivered != state.iterations() * window)
+    state.SkipWithError("packets dropped; the window must fit the queues");
+  state.counters["ns_per_hop"] =
+      elapsed.count() / static_cast<double>(delivered * route.size());
+}
+BENCHMARK(BM_PacketHop)->Arg(64);
 
 }  // namespace
 

@@ -8,6 +8,8 @@ per digest:
 
   fluid  k=4 and k=8 x every fluid scheduler     md5 of --csv stdout
   packet k=4         x every packet scheduler    md5 of --csv stdout
+  packet k=4: DARD under the chaos fault plan, WCMP on an oversubscribed
+    fabric and WCMP over mixed link speeds      md5 of --csv stdout
   run dirs (--run-dir --spans): fluid DARD at k=4 and k=8, the chaos
     preset, Hedera at k=8 and packet DARD at k=4   md5 of each artifact
     below, and of `dardscope report` and `dardscope spans` output
@@ -37,6 +39,25 @@ SEED = "7"
 # the packet cells stay small because every packet is an event.
 FLUID_ARGS = ["--flow-mb=256", "--rate=0.5", "--duration=5"]
 PACKET_ARGS = ["--flow-mb=4", "--rate=0.5", "--duration=2"]
+
+# Packet paths the scheduler matrix leaves out: links that fail and
+# black-hole packets mid-route (the chaos plan drops 9 packets here against
+# 4 without faults), a 2:1 oversubscribed fabric, and core columns of 1 and
+# 2 Gbps, whose unequal serialization times mix along one route. At p=4,
+# --oversub=2 leaves one uplink per aggregation switch, all at one speed, so
+# mixed speeds need their own cell. 16 MiB flows fill queues enough to drop.
+PACKET_EXTRA_CELLS = [
+    ("packet/k4/dard-chaos",
+     ["--substrate=packet", "--size=4", "--scheduler=dard", "--flow-mb=8",
+      "--rate=0.5", "--duration=4", "--query-interval=0.1",
+      "--schedule-interval=0.1", "--faults=chaos"]),
+    ("packet/k4/wcmp-oversub2",
+     ["--substrate=packet", "--size=4", "--scheduler=wcmp", "--oversub=2",
+      "--flow-mb=16", "--rate=0.5", "--duration=2"]),
+    ("packet/k4/wcmp-skew2",
+     ["--substrate=packet", "--size=4", "--scheduler=wcmp", "--speed-skew=2",
+      "--flow-mb=16", "--rate=0.5", "--duration=2"]),
+]
 
 # The packet run-dir cell needs flows that become elephants (16 MiB flows
 # give 130 trace lines at seed 7); with 4 MiB flows its trace is empty.
@@ -70,6 +91,7 @@ def cells():
         yield (f"packet/k4/{sched}",
                ["--substrate=packet", "--size=4",
                 f"--scheduler={sched}"] + PACKET_ARGS)
+    yield from PACKET_EXTRA_CELLS
 
 
 def md5(data):

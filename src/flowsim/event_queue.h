@@ -1,9 +1,10 @@
-// Discrete-event queue: one-shot callbacks plus keyed timers.
+// Discrete-event queue: one-shot callbacks, keyed timers and posted tags.
 //
 // Both simulators are driven off this queue. Every entry takes a sequence
-// number from one monotone counter when it is scheduled or (re)armed, and
-// entries run in (time, seq) order: events firing at identical times run in
-// the order they were scheduled, so simulations are fully deterministic.
+// number from one monotone counter when it is scheduled, (re)armed or
+// posted, and entries run in (time, seq) order: events firing at identical
+// times run in the order they were scheduled, so simulations are fully
+// deterministic.
 //
 // A *callback* is a std::function run once. The heap is a plain vector
 // managed with std::push_heap / std::pop_heap rather than
@@ -25,6 +26,27 @@
 // same (time, seq) order; a re-arm takes a fresh seq exactly as a new
 // schedule() would, so replacing "schedule anew, skip the stale one" with
 // arm() leaves the order of every live event unchanged.
+//
+// A *post* is a plain (time, seq, uint32 tag) entry on a third heap, handed
+// to the one post handler installed on the queue. It is the event of a
+// caller whose state lives in its own table and needs only an index to
+// find it — pktsim's packet arrivals, tagged by packet pool slot — so it
+// captures nothing and allocates nothing once the heap has grown.
+//
+// A *reserved stamp* is a (time, seq) position in the order with no entry
+// behind it: reserve() draws the seq a schedule() would have drawn, and
+// passed() answers whether the queue has run past that position — exactly
+// whether a no-op callback scheduled in its place would have fired:
+//
+//   inside a running event         stamp < that event's (time, seq)
+//   after run_next() returns       stamp < the last fired (time, seq)
+//   after run_until(t) returns     stamp < (t, the next seq to be drawn),
+//                                  i.e. time <= t among stamps drawn so far
+//
+// An owner whose only effect at some time is on its own state (pktsim's
+// link departures, which just shrink a queue) keeps reserved stamps in its
+// own FIFO and settles the passed ones when it next reads that state,
+// instead of queueing an event for each.
 #pragma once
 
 #include <algorithm>
@@ -43,6 +65,13 @@ class EventQueue {
  public:
   using Callback = std::function<void()>;
   using TimerHandler = std::function<void(std::uint32_t key)>;
+  using PostHandler = std::function<void(std::uint32_t tag)>;
+
+  // A position in the queue's (time, seq) order.
+  struct Stamp {
+    Seconds time;
+    std::uint64_t seq;
+  };
 
   void schedule(Seconds at, Callback cb) {
     DCN_CHECK_MSG(at >= now_, "cannot schedule into the past");
@@ -80,21 +109,65 @@ class EventQueue {
     return key < pos_.size() && pos_[key] != kUnarmed;
   }
 
+  // Installs the handler every fired post's tag is passed to; once per queue.
+  void set_post_handler(PostHandler handler) {
+    DCN_CHECK_MSG(!post_handler_, "post handler already installed");
+    post_handler_ = std::move(handler);
+  }
+
+  // Queues `tag` for the post handler at `at`.
+  void post(Seconds at, std::uint32_t tag) {
+    DCN_CHECK_MSG(post_handler_, "posting with no handler installed");
+    DCN_CHECK_MSG(at >= now_, "cannot post into the past");
+    posts_.push_back(Post{at, seq_++, tag});
+    std::push_heap(posts_.begin(), posts_.end(), Later{});
+  }
+
+  // Draws the stamp a schedule(at, ...) here would have drawn, queueing
+  // nothing.
+  [[nodiscard]] Stamp reserve(Seconds at) {
+    DCN_CHECK_MSG(at >= now_, "cannot reserve into the past");
+    return Stamp{at, seq_++};
+  }
+
+  // True once the queue has run past `s` (see the header comment).
+  [[nodiscard]] bool passed(const Stamp& s) const {
+    return earlier(s, horizon_);
+  }
+
   [[nodiscard]] Seconds now() const { return now_; }
-  [[nodiscard]] bool empty() const { return heap_.empty() && timers_.empty(); }
+  [[nodiscard]] bool empty() const {
+    return heap_.empty() && timers_.empty() && posts_.empty();
+  }
   [[nodiscard]] std::size_t pending() const {
-    return heap_.size() + timers_.size();
+    return heap_.size() + timers_.size() + posts_.size();
   }
 
   // Runs the earliest event; returns false when none remain.
   bool run_next() {
-    if (!timers_.empty() &&
-        (heap_.empty() || earlier(timers_.front(), heap_.front()))) {
+    // The earlier of the callback and timer heads, then that against the
+    // post head.
+    const bool timer =
+        !timers_.empty() &&
+        (heap_.empty() || earlier(timers_.front(), heap_.front()));
+    const bool post =
+        !posts_.empty() &&
+        (timer ? earlier(posts_.front(), timers_.front())
+               : heap_.empty() || earlier(posts_.front(), heap_.front()));
+    if (post) {
+      std::pop_heap(posts_.begin(), posts_.end(), Later{});
+      const Post p = posts_.back();
+      posts_.pop_back();
+      fire(p);
+      post_handler_(p.tag);
+      return true;
+    }
+    if (timer) {
       const Timer t = timers_.front();
       // Removed before the handler runs: it may re-arm any key, this one
       // included.
       remove(0);
-      now_ = t.time;
+      fire(t);
       handler_(t.key);
       return true;
     }
@@ -102,7 +175,7 @@ class EventQueue {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     Entry e = std::move(heap_.back());
     heap_.pop_back();
-    now_ = e.time;
+    fire(e);
     e.cb();
     return true;
   }
@@ -110,9 +183,13 @@ class EventQueue {
   // Runs events with time <= t, then advances the clock to t.
   void run_until(Seconds t) {
     while ((!heap_.empty() && heap_.front().time <= t) ||
-           (!timers_.empty() && timers_.front().time <= t))
+           (!timers_.empty() && timers_.front().time <= t) ||
+           (!posts_.empty() && posts_.front().time <= t))
       run_next();
     now_ = std::max(now_, t);
+    // Every stamp drawn so far at or before t would have fired by now.
+    const Stamp through{t, seq_};
+    if (earlier(horizon_, through)) horizon_ = through;
   }
 
  private:
@@ -126,7 +203,12 @@ class EventQueue {
     std::uint64_t seq;
     std::uint32_t key;
   };
-  // (time, seq) order, between callbacks and timers alike.
+  struct Post {
+    Seconds time;
+    std::uint64_t seq;
+    std::uint32_t tag;
+  };
+  // (time, seq) order, between every kind of entry and stamps alike.
   template <class A, class B>
   static bool earlier(const A& a, const B& b) {
     if (a.time != b.time) return a.time < b.time;
@@ -134,10 +216,18 @@ class EventQueue {
   }
   // Min-heap order: the max-heap comparator ranks the *later* event higher.
   struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
+    template <class E>
+    bool operator()(const E& a, const E& b) const {
       return earlier(b, a);
     }
   };
+
+  // Advances the clock and the passed() horizon to the event about to run.
+  template <class E>
+  void fire(const E& e) {
+    now_ = e.time;
+    horizon_ = Stamp{e.time, e.seq};
+  }
 
   static constexpr std::uint32_t kUnarmed =
       std::numeric_limits<std::uint32_t>::max();
@@ -187,9 +277,14 @@ class EventQueue {
   std::vector<Entry> heap_;
   std::vector<Timer> timers_;        // min-heap on (time, seq)
   std::vector<std::uint32_t> pos_;   // key -> index in timers_, or kUnarmed
+  std::vector<Post> posts_;
   TimerHandler handler_;
+  PostHandler post_handler_;
   Seconds now_ = 0;
   std::uint64_t seq_ = 0;
+  // Stamps before this have passed: the running or last fired event, or
+  // run_until's (t, seq_) when that is later.
+  Stamp horizon_{-std::numeric_limits<Seconds>::infinity(), 0};
 };
 
 }  // namespace dard::flowsim

@@ -56,7 +56,7 @@ void FlowSimulator::set_metrics(obs::MetricsRegistry* metrics) {
 
 double FlowSimulator::path_bonf(const Flow& f, PathIndex index) {
   double bonf = std::numeric_limits<double>::infinity();
-  LinkId links[4];
+  LinkId links[topo::kMaxTorPathLinks];
   const std::size_t n =
       paths_.generator().path_links(f.src_tor, f.dst_tor, index, links);
   for (const LinkId l : std::span<const LinkId>(links, n)) {

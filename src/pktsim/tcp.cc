@@ -37,16 +37,10 @@ void TcpFlow::begin() {
   arm_rto();
 }
 
-std::vector<LinkId> TcpFlow::reverse_route(
-    const std::vector<LinkId>& route) const {
-  std::vector<LinkId> rev;
-  rev.reserve(route.size());
-  for (auto it = route.rbegin(); it != route.rend(); ++it) {
-    const topo::Link& l = topo_->link(*it);
-    const LinkId back = topo_->find_link(l.dst, l.src);
-    DCN_CHECK(back.valid());
-    rev.push_back(back);
-  }
+Route TcpFlow::reverse_route(const Route& route) const {
+  Route rev;
+  for (auto it = route.end(); it != route.begin();)
+    rev.push_back(topo_->reverse(*--it));
   return rev;
 }
 
@@ -70,7 +64,7 @@ void TcpFlow::send_segment(std::uint64_t seq) {
       timed_at_ = events_->now();
     }
   }
-  net_->send(std::move(p));
+  net_->send(p);
 }
 
 void TcpFlow::maybe_send() {
@@ -107,7 +101,7 @@ void TcpFlow::on_data(const Packet& p) {
   ack.is_ack = true;
   ack.size = kAckPacketBytes + router_->encap_overhead();
   ack.route = reverse_route(p.route);
-  net_->send(std::move(ack));
+  net_->send(ack);
 }
 
 void TcpFlow::on_ack(std::uint64_t cum) {

@@ -9,6 +9,10 @@
 // The RTO is the event queue's keyed timer for the flow's id: every re-arm
 // moves the one pending deadline, and completion disarms it. The owning
 // PktSession installs the queue's timer handler, which calls on_rto().
+//
+// Packets are built on the stack with inline routes (packet.h): a data
+// segment copies its router's route, and an ACK reverses the data packet's
+// route link by link with Topology::reverse(), so neither allocates.
 #pragma once
 
 #include <set>
@@ -75,8 +79,8 @@ class TcpFlow {
   void handle_dup_ack();
   void arm_rto();
   void complete();
-  [[nodiscard]] std::vector<LinkId> reverse_route(
-      const std::vector<LinkId>& route) const;
+  // The ACK path: each link's other direction, last hop first.
+  [[nodiscard]] Route reverse_route(const Route& route) const;
 
   FlowId id_;
   NodeId src_host_, dst_host_;

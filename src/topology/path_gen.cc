@@ -126,7 +126,8 @@ std::size_t PathGenerator::count(NodeId src_tor, NodeId dst_tor) const {
 }
 
 std::size_t PathGenerator::path_links(NodeId src_tor, NodeId dst_tor,
-                                      std::size_t index, LinkId out[4]) const {
+                                      std::size_t index,
+                                      LinkId out[kMaxTorPathLinks]) const {
   check_tors(src_tor, dst_tor);
   if (src_tor == dst_tor) {
     DCN_CHECK_MSG(index == 0, "path index out of range");
@@ -183,7 +184,7 @@ Path PathGenerator::make_path(NodeId src_tor,
 
 Path PathGenerator::path(NodeId src_tor, NodeId dst_tor,
                          std::size_t index) const {
-  LinkId links[4];
+  LinkId links[kMaxTorPathLinks];
   const std::size_t n = path_links(src_tor, dst_tor, index, links);
   return make_path(src_tor, std::span<const LinkId>(links, n));
 }

@@ -68,6 +68,10 @@
 
 namespace dard::topo {
 
+// The longest valley-free ToR path has kMaxTorPathLinks links (the 4-hop
+// shape above); path_links() callers size their buffers with it.
+inline constexpr std::size_t kMaxTorPathLinks = 4;
+
 class PathGenerator {
  public:
   explicit PathGenerator(const Topology& t);
@@ -83,7 +87,7 @@ class PathGenerator {
   // s == d, else 2 or 4) is returned. Allocates nothing; path() is built on
   // it.
   std::size_t path_links(NodeId src_tor, NodeId dst_tor, std::size_t index,
-                         LinkId out[4]) const;
+                         LinkId out[kMaxTorPathLinks]) const;
 
   // Calls visit(links) once per path in index order, links being a
   // std::span<const LinkId> over the path's directed links that is valid
@@ -166,7 +170,7 @@ void PathGenerator::for_each_path(NodeId src_tor, NodeId dst_tor,
     visit(std::span<const LinkId>{});
     return;
   }
-  LinkId links[4];
+  LinkId links[kMaxTorPathLinks];
   const Edge* const ue = up_end(src_tor);
   const Edge* const fe = feeds_end(dst_tor);
   const Edge* f = feeds_begin(dst_tor);

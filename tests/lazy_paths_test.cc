@@ -166,7 +166,7 @@ void check_index_addressing(const Topology& t, bool fat_tree, int p) {
     for (std::size_t i = 0; i < all.size(); ++i) {
       const Path one = gen.path(s, d, i);
       expect_same_path(all[i], one, s, d, i);
-      LinkId links[4];
+      LinkId links[topo::kMaxTorPathLinks];
       const std::size_t n = gen.path_links(s, d, i, links);
       EXPECT_EQ(std::vector<LinkId>(links, links + n), one.links)
           << "path_links of pair (" << s.value() << "," << d.value()

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+
 #include "baselines/ecmp.h"
 #include "common/hash.h"
+#include "common/rng.h"
 #include "dard/dard_agent.h"
+#include "pktnet_reference.h"
 #include "pktsim/agent_router.h"
 #include "pktsim/session.h"
 #include "topology/builders.h"
+#include "topology/path_gen.h"
 
 namespace dard::pktsim {
 namespace {
@@ -87,7 +93,7 @@ TEST(PacketNetworkTest, UtilizationCounters) {
   const LinkId up = t.out_links(src).front();
   Packet p;
   p.flow = FlowId(0);
-  p.route = {up};
+  p.route.push_back(up);
   net.send(std::move(p));
   while (events.run_next()) {
   }
@@ -95,6 +101,193 @@ TEST(PacketNetworkTest, UtilizationCounters) {
   EXPECT_GT(net.utilization(up, 0.01), 0.0);
   net.reset_counters();
   EXPECT_EQ(net.bytes_sent(up), 0u);
+}
+
+struct Delivery {
+  Seconds time;
+  std::uint32_t flow;
+  std::uint64_t seq;
+  bool is_ack;
+  bool operator==(const Delivery&) const = default;
+};
+
+struct NetOutcome {
+  std::vector<Delivery> deliveries;
+  std::uint64_t drops = 0;
+  std::uint64_t forwarded = 0;
+  std::vector<Bytes> bytes_sent;  // per link
+};
+
+bool step(flowsim::EventQueue& q, const PacketNetwork&) {
+  return q.run_next();
+}
+// The reference's departure events have no counterpart in the pooled
+// network's queue: run past them to the next event both networks share.
+bool step(flowsim::EventQueue& q,
+          const pktnet_ref::ClosurePacketNetwork& net) {
+  for (;;) {
+    const std::uint64_t departures = net.departures_fired();
+    if (!q.run_next()) return false;
+    if (net.departures_fired() == departures) return true;
+  }
+}
+
+// Seeded random traffic over host-level routes of `t`, every queue
+// `queue_bytes` deep, with packets of mixed sizes. Packets are sent from
+// scheduled bursts and a ticker (inside events), from the delivery handler
+// (an ACK back along the reversed route for every data packet, and now and
+// then a new packet), between run_next() calls and after run_until(t).
+// Links fail and are repaired mid-run. The ticker keeps the queue busy
+// until kEnd, so both networks' clocks agree wherever the loop below reads
+// them.
+template <class Net>
+NetOutcome drive_random_traffic(const Topology& t, Bytes queue_bytes,
+                                std::uint64_t seed) {
+  constexpr Seconds kEnd = 0.05;
+  flowsim::EventQueue q;
+  Net net(t, q, queue_bytes);
+  Rng rng(seed);
+  const topo::PathGenerator gen(t);
+  const auto& hosts = t.hosts();
+  std::uint32_t flows = 0;
+  const auto random_host = [&] { return hosts[rng.next_below(hosts.size())]; };
+  const auto packet_from = [&](NodeId src) {
+    NodeId dst = src;
+    while (dst == src) dst = random_host();
+    const NodeId s = t.tor_of_host(src), d = t.tor_of_host(dst);
+    LinkId mid[topo::kMaxTorPathLinks];
+    const std::size_t n =
+        gen.path_links(s, d, rng.next_below(gen.count(s, d)), mid);
+    Packet p;
+    p.flow = FlowId(flows++);
+    p.route.push_back(t.out_links(src).front());
+    for (std::size_t i = 0; i < n; ++i) p.route.push_back(mid[i]);
+    p.route.push_back(t.reverse(t.out_links(dst).front()));
+    switch (rng.next_below(3)) {
+      case 0:
+        p.size = kAckPacketBytes;
+        break;
+      case 1:
+        p.size = kDataPacketBytes;
+        break;
+      default:
+        p.size = kAckPacketBytes + rng.next_below(kDataPacketBytes);
+    }
+    return p;
+  };
+  const auto random_packet = [&] { return packet_from(random_host()); };
+
+  NetOutcome out;
+  net.set_delivery_handler([&](const Packet& p) {
+    out.deliveries.push_back({q.now(), p.flow.value(), p.seq, p.is_ack});
+    if (!p.is_ack) {
+      Packet ack;
+      ack.flow = p.flow;
+      ack.seq = p.seq + 1;
+      ack.is_ack = true;
+      ack.size = kAckPacketBytes;
+      for (auto it = p.route.end(); it != p.route.begin();)
+        ack.route.push_back(t.reverse(*--it));
+      net.send(ack);
+    }
+    if (rng.next_below(4) == 0) net.send(random_packet());
+  });
+  std::function<void()> tick = [&] {
+    net.send(random_packet());
+    if (q.now() < kEnd) q.schedule(q.now() + 40e-6, tick);
+  };
+  q.schedule(0.0, tick);
+  for (int i = 0; i < 40; ++i) {
+    const Seconds at = rng.uniform() * kEnd;
+    const auto n = 1 + rng.next_below(6);
+    q.schedule(at, [&, n] {
+      for (std::uint64_t k = 0; k < n; ++k) net.send(random_packet());
+    });
+  }
+  for (int i = 0; i < 12; ++i) {
+    const LinkId l(static_cast<LinkId::value_type>(
+        rng.next_below(t.link_count())));
+    const Seconds down = rng.uniform() * kEnd;
+    const Seconds up = down + rng.uniform() * kEnd / 4;
+    q.schedule(down, [&net, l] { net.set_link_failed(l, true); });
+    q.schedule(up, [&net, l] { net.set_link_failed(l, false); });
+  }
+
+  Seconds until = 0;
+  while (q.now() < kEnd) {
+    if (rng.next_below(2) == 0) {
+      const auto n = 1 + rng.next_below(8);
+      for (std::uint64_t i = 0; i < n && q.now() < kEnd; ++i) {
+        step(q, net);
+        if (rng.next_below(2) == 0) net.send(random_packet());
+      }
+    } else {
+      until = std::max(until, q.now()) + rng.uniform() * 200e-6;
+      q.run_until(until);
+      // A burst from one host, so its uplink queue fills from outside.
+      const NodeId src = random_host();
+      const auto n = rng.next_below(5);
+      for (std::uint64_t i = 0; i < n; ++i) net.send(packet_from(src));
+    }
+  }
+  while (step(q, net)) {
+  }
+  out.drops = net.drops();
+  out.forwarded = net.forwarded();
+  for (const auto& link : t.links())
+    out.bytes_sent.push_back(net.bytes_sent(link.id));
+  return out;
+}
+
+TEST(PacketNetworkTest, MatchesTheClosureNetwork) {
+  // A p=4 fat tree with 2-packet queues; an oversubscribed one (one uplink
+  // per aggregation switch; host, ToR-agg and agg-core links at 200, 400
+  // and 100 Mbps; zero-delay links, so a hop's arrival ties its departure)
+  // with 3-packet queues; and one whose host links take no time at all, so
+  // a packet sent after run_until(t) departs at t itself.
+  topo::FatTreeParams over = testbed_params();
+  over.uplinks_per_agg = 1;
+  over.host_capacity = 200 * kMbps;
+  over.tor_agg_capacity = 400 * kMbps;
+  over.link_delay = 0;
+  topo::FatTreeParams instant = testbed_params();
+  instant.host_capacity = std::numeric_limits<Bps>::infinity();
+  instant.link_delay = 0;
+  const Topology fat = build_fat_tree(testbed_params());
+  const Topology oversub = build_fat_tree(over);
+  const Topology instant_hosts = build_fat_tree(instant);
+  const struct {
+    const char* name;
+    const Topology* t;
+    Bytes queue_bytes;
+  } cases[] = {{"fat tree", &fat, 2 * kDataPacketBytes},
+               {"oversubscribed", &oversub, 3 * kDataPacketBytes},
+               {"instant host links", &instant_hosts, 2 * kDataPacketBytes}};
+  for (const auto& c : cases) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      const NetOutcome pooled =
+          drive_random_traffic<PacketNetwork>(*c.t, c.queue_bytes, seed);
+      const NetOutcome closures =
+          drive_random_traffic<pktnet_ref::ClosurePacketNetwork>(
+              *c.t, c.queue_bytes, seed);
+      SCOPED_TRACE(std::string(c.name) + ", seed " + std::to_string(seed));
+      ASSERT_GT(closures.deliveries.size(), 1000u);
+      ASSERT_GT(closures.drops, 100u);
+      EXPECT_EQ(pooled.drops, closures.drops);
+      EXPECT_EQ(pooled.forwarded, closures.forwarded);
+      EXPECT_EQ(pooled.bytes_sent, closures.bytes_sent);
+      ASSERT_EQ(pooled.deliveries.size(), closures.deliveries.size());
+      for (std::size_t i = 0; i < pooled.deliveries.size(); ++i) {
+        const Delivery& a = pooled.deliveries[i];
+        const Delivery& b = closures.deliveries[i];
+        ASSERT_TRUE(a == b)
+            << "delivery " << i << ": pooled (" << a.time << ", " << a.flow
+            << ", " << a.seq << ", " << a.is_ack << ") vs closures ("
+            << b.time << ", " << b.flow << ", " << b.seq << ", " << b.is_ack
+            << ")";
+      }
+    }
+  }
 }
 
 TEST(TcpTest, SingleFlowCompletesNearLinkRate) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -291,6 +292,161 @@ TEST(EventQueueTest, KeyedTimersFireLikeVersionGuardedCallbacks) {
     ASSERT_GT(reference.size(), 2000u);
     EXPECT_EQ(keyed, reference) << "seed " << seed;
   }
+}
+
+TEST(EventQueueTest, PostsTimersAndCallbacksAtEqualTimesFireInDrawOrder) {
+  EventQueue q;
+  std::vector<std::string> order;
+  q.set_timer_handler(
+      [&](std::uint32_t key) { order.push_back("k" + std::to_string(key)); });
+  q.set_post_handler(
+      [&](std::uint32_t tag) { order.push_back("p" + std::to_string(tag)); });
+  q.post(1.0, 0);
+  q.arm(3, 1.0);
+  q.schedule(1.0, [&] { order.push_back("c0"); });
+  (void)q.reserve(1.0);  // draws a seq, queues nothing
+  q.post(1.0, 1);
+  q.arm(1, 1.0);
+  q.post(0.5, 2);
+  q.schedule(1.0, [&] { order.push_back("c1"); });
+  EXPECT_EQ(q.pending(), 7u);
+  while (q.run_next()) {
+  }
+  EXPECT_EQ(order, (std::vector<std::string>{"p2", "p0", "k3", "c0", "p1",
+                                             "k1", "c1"}));
+}
+
+// One seeded program of posts, timer arms and disarms, callbacks and
+// reserved stamps on a coarse time grid, where ties are common. Handlers
+// run further random operations, and so does the outer loop between
+// run_next() calls and after run_until(). With `mirror` set, every
+// reserve(at) is replaced by a scheduled no-op that records its firing: it
+// draws the same seq, so both runs see the same events in the same order.
+// Returns, at every check (inside each handler, after each run_next() step
+// or run_until(), and after the operations that follow it), which stamps
+// count as passed: passed() on the real queue, "has fired" on the mirror.
+std::vector<std::vector<bool>> stamp_checks(std::uint64_t seed, bool mirror) {
+  EventQueue q;
+  Rng rng(seed);
+  std::vector<EventQueue::Stamp> stamps;
+  std::vector<bool> fired;  // the mirror's no-ops
+  std::uint64_t mirrors_fired = 0;
+  std::vector<std::vector<bool>> checks;
+  std::uint32_t tags = 0;
+  int budget = 4000;  // operations left; the program ends when spent
+
+  const auto check = [&] {
+    std::vector<bool> row(stamps.size());
+    for (std::size_t i = 0; i < stamps.size(); ++i)
+      row[i] = mirror ? fired[i] : q.passed(stamps[i]);
+    checks.push_back(std::move(row));
+  };
+  const auto later = [&] { return q.now() + 0.25 * rng.next_below(4); };
+  std::function<void()> random_ops;
+  const auto handler = [&] {
+    check();
+    random_ops();
+  };
+  random_ops = [&] {
+    const auto n = rng.next_below(6);
+    for (std::uint64_t i = 0; i < n && budget > 0; ++i, --budget) {
+      switch (rng.next_below(5)) {
+        case 0:
+          q.post(later(), tags++);
+          break;
+        case 1: {
+          const auto key = static_cast<std::uint32_t>(rng.next_below(8));
+          q.arm(key, later());
+          break;
+        }
+        case 2:
+          q.disarm(static_cast<std::uint32_t>(rng.next_below(8)));
+          break;
+        case 3:
+          q.schedule(later(), handler);
+          break;
+        default: {
+          const Seconds at = later();
+          if (!mirror) {
+            stamps.push_back(q.reserve(at));
+            break;
+          }
+          const std::size_t id = stamps.size();
+          stamps.push_back({at, 0});
+          fired.push_back(false);
+          q.schedule(at, [&fired, &mirrors_fired, id] {
+            fired[id] = true;
+            ++mirrors_fired;
+          });
+        }
+      }
+    }
+  };
+  q.set_post_handler([&](std::uint32_t) { handler(); });
+  q.set_timer_handler([&](std::uint32_t) { handler(); });
+  // One run_next(); on the mirror, run on past its no-ops to the next event
+  // both programs share.
+  const auto step = [&] {
+    for (;;) {
+      const std::uint64_t before = mirrors_fired;
+      if (!q.run_next()) return false;
+      if (mirrors_fired == before) return true;
+    }
+  };
+
+  for (int i = 0; i < 8; ++i) random_ops();
+  Seconds until = 0;
+  while (budget > 0) {
+    if (rng.next_below(2) == 0) {
+      if (!step()) break;
+    } else {
+      until = std::max(until, q.now()) + 0.25 * rng.next_below(3);
+      q.run_until(until);
+    }
+    check();
+    // Outside any event: stamps drawn at the current time have not passed.
+    random_ops();
+    check();
+  }
+  return checks;
+}
+
+TEST(EventQueueTest, PassedMatchesAMirroredNoOpHavingFired) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    const auto mirrored = stamp_checks(seed, /*mirror=*/true);
+    const auto passed = stamp_checks(seed, /*mirror=*/false);
+    ASSERT_EQ(passed.size(), mirrored.size()) << "seed " << seed;
+    ASSERT_GT(passed.size(), 500u);
+    // Not vacuous: some check sees stamps both passed and pending.
+    bool mixed = false;
+    for (std::size_t i = 0; i < passed.size(); ++i) {
+      ASSERT_EQ(passed[i], mirrored[i]) << "seed " << seed << ", check " << i;
+      const auto& row = passed[i];
+      mixed = mixed || (std::find(row.begin(), row.end(), true) != row.end() &&
+                        std::find(row.begin(), row.end(), false) != row.end());
+    }
+    EXPECT_TRUE(mixed) << "seed " << seed;
+  }
+}
+
+TEST(EventQueueDeathTest, PostingWithNoHandlerAborts) {
+  EventQueue q;
+  EXPECT_DEATH(q.post(1.0, 0), "posting with no handler installed");
+}
+
+TEST(EventQueueDeathTest, PostingIntoThePastAborts) {
+  EventQueue q;
+  q.set_post_handler([](std::uint32_t) {});
+  q.schedule(5.0, [] {});
+  q.run_until(5.0);
+  EXPECT_DEATH(q.post(1.0, 0), "cannot post into the past");
+}
+
+TEST(EventQueueDeathTest, ReservingIntoThePastAborts) {
+  EventQueue q;
+  q.schedule(5.0, [] {});
+  q.run_until(5.0);
+  EXPECT_DEATH((void)q.reserve(1.0), "cannot reserve into the past");
 }
 
 class SimulatorTest : public ::testing::Test {
