@@ -12,13 +12,17 @@ per digest:
     fabric and WCMP over mixed link speeds      md5 of --csv stdout
   run dirs (--run-dir --spans): fluid DARD at k=4 and k=8, the chaos
     preset, Hedera at k=8 and packet DARD at k=4   md5 of each artifact
-    below, and of `dardscope report` and `dardscope spans` output
+    below, and of the text and --md output of `dardscope report` and
+    `dardscope spans`, of `report --window=2`, and of `dardscope flow` for
+    the report's most-moved flow
+  one `dardscope diff` of the k=8 DARD and Hedera run dirs, text and --md
 
 The run-dir cells exercise the trace and sample writers and dardscope's
 readers. They leave out --snapshot-period, because snapshot lines carry the
-host's RSS, and the dardscope digests drop the `run:` and `wall clock:`
-lines, which carry the directory path and host timings. dardscope is taken
-from dardsim's directory.
+host's RSS, and the dardscope digests drop what carries the directory path
+or host timings: the `run:`, `wall clock:`, `A:` and `B:` lines and the
+markdown report's "Wall clock" sentence. dardscope is taken from dardsim's
+directory.
 
 Simulated results are deterministic, so two builds whose outputs should be
 identical print identical lines: run it on both and diff the outputs. A
@@ -27,6 +31,7 @@ cell whose run exits non-zero fails the script (exit 1).
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -78,7 +83,12 @@ RUN_DIR_CELLS = [
 ]
 RUN_DIR_FILES = ["trace.jsonl", "link_samples.csv", "agg_samples.csv",
                  "control_bytes.csv"]
-HOST_LINES = (b"run:", b"wall clock:")
+DIFF_CELLS = ("rundir/fluid/k8/dard", "rundir/fluid/k8/hedera")
+DIFF_NAME = "rundir/diff/fluid/k8/dard-vs-hedera"
+HOST_LINES = (b"run:", b"wall clock:", b"A: ", b"B: ")
+WALL_CLOCK_MD = re.compile(
+    rb" Wall clock: setup [^ ]+ s, run [^ ]+ s, collect [^ ]+ s\.")
+MOST_MOVED = re.compile(rb"most-moved flow: (\d+) ")
 
 
 def cells():
@@ -108,9 +118,33 @@ def run_or_none(name, cmd):
     return run.stdout
 
 
+def run_dir_of(root, name):
+    return os.path.join(root, name.replace("/", "_"))
+
+
+def host_free(data):
+    """`data` without the parts that carry host paths or host timings."""
+    return b"".join(WALL_CLOCK_MD.sub(b"", line)
+                    for line in data.splitlines(keepends=True)
+                    if not line.startswith(HOST_LINES))
+
+
+def digest_scope(name, args, md=None):
+    """Prints the digest of one dardscope run's stdout, and of its --md
+    file when `md` names one; returns stdout, or None if the run failed."""
+    out = run_or_none(name, args + ([f"--md={md}"] if md else []))
+    if out is None:
+        return None
+    print(f"{name} {md5(host_free(out))}", flush=True)
+    if md:
+        with open(md, "rb") as f:
+            print(f"{name}.md {md5(host_free(f.read()))}", flush=True)
+    return out
+
+
 def digest_run_dir(name, args, dardsim, dardscope, root):
     """Prints the digests of one run-dir cell; False if a run failed."""
-    run_dir = os.path.join(root, name.replace("/", "_"))
+    run_dir = run_dir_of(root, name)
     cmd = [dardsim, *args, "--spans", f"--run-dir={run_dir}", f"--seed={SEED}"]
     if run_or_none(name, cmd) is None:
         return False
@@ -121,14 +155,23 @@ def digest_run_dir(name, args, dardsim, dardscope, root):
                 print(f"{name}/{file} {md5(f.read())}", flush=True)
         else:
             print(f"{name}/{file} absent", flush=True)
-    for sub in ("report", "spans"):
-        out = run_or_none(f"{name}/{sub}", [dardscope, sub, run_dir])
-        if out is None:
-            return False
-        kept = [line for line in out.splitlines(keepends=True)
-                if not line.startswith(HOST_LINES)]
-        print(f"{name}/dardscope-{sub} {md5(b''.join(kept))}", flush=True)
-    return True
+    md = os.path.join(root, "scope.md")
+    report = digest_scope(f"{name}/dardscope-report",
+                          [dardscope, "report", run_dir], md)
+    if report is None or digest_scope(f"{name}/dardscope-spans",
+                                      [dardscope, "spans", run_dir],
+                                      md) is None:
+        return False
+    if digest_scope(f"{name}/dardscope-report-window2",
+                    [dardscope, "report", run_dir, "--window=2"]) is None:
+        return False
+    moved = MOST_MOVED.search(report)
+    if moved is None:
+        print(f"{name}/dardscope-flow none", flush=True)
+        return True
+    flow = moved.group(1).decode()
+    return digest_scope(f"{name}/dardscope-flow-{flow}",
+                        [dardscope, "flow", run_dir, flow]) is not None
 
 
 def main(argv):
@@ -150,6 +193,12 @@ def main(argv):
         for name, args in RUN_DIR_CELLS:
             if not digest_run_dir(name, args, dardsim, dardscope, root):
                 return 1
+        a, b = DIFF_CELLS
+        if digest_scope(DIFF_NAME,
+                        [dardscope, "diff", run_dir_of(root, a),
+                         run_dir_of(root, b)],
+                        os.path.join(root, "diff.md")) is None:
+            return 1
     return 0
 
 

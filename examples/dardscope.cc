@@ -6,6 +6,7 @@
 // the links ran, what the control plane cost — and, for two runs, what
 // changed between them.
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -172,9 +173,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "usage: dardscope report RUN [--md=FILE]\n");
       return 2;
     }
-    scope::RunData run;
+    scope::RunData run(opt.window);
     if (!load_or_die(opt.positional[0], &run)) return 1;
-    const auto report = scope::build_report(run, opt.window);
+    const auto report = scope::build_report(run);
     scope::write_text(std::cout, report);
     if (!opt.md_path.empty() &&
         !write_md(opt.md_path,
@@ -186,21 +187,24 @@ int main(int argc, char** argv) {
   }
 
   if (opt.subcommand == "flow") {
+    // Flow ids are 32-bit, so a larger id is refused rather than cut to
+    // another flow's id.
     std::size_t flow = 0;
     if (opt.positional.size() != 2 ||
-        !parse_size(opt.positional[1].c_str(), &flow)) {
+        !parse_size(opt.positional[1].c_str(), &flow) ||
+        flow > UINT32_MAX) {
       std::fprintf(stderr, "usage: dardscope flow RUN FLOW_ID\n");
       return 2;
     }
     scope::RunData run;
     if (!load_or_die(opt.positional[0], &run)) return 1;
-    const auto report = scope::build_report(run, opt.window);
-    if (!scope::write_flow_text(std::cout, report,
-                                static_cast<std::uint32_t>(flow))) {
+    const auto it = run.timelines.find(static_cast<std::uint32_t>(flow));
+    if (it == run.timelines.end()) {
       std::fprintf(stderr, "flow %zu does not appear in %s\n", flow,
                    opt.positional[0].c_str());
       return 1;
     }
+    scope::write_flow_text(std::cout, it->second);
     return 0;
   }
 

@@ -1,183 +1,17 @@
 #include "scope/analysis.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
-#include <unordered_map>
+
+#include "scope/run_loader.h"
 
 namespace dard::scope {
 
-using obs::TraceEvent;
-using obs::TraceEventKind;
-
-std::vector<FlowTimeline> build_timelines(const std::vector<TraceEvent>& trace) {
-  std::map<std::uint32_t, FlowTimeline> by_flow;
-  // cause_id -> trace index of an *accepted* DardRound already seen; used to
-  // resolve each move's causal link as the stream replays in order.
-  std::unordered_map<std::uint64_t, std::ptrdiff_t> rounds_seen;
-
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const TraceEvent& e = trace[i];
-    switch (e.kind) {
-      case TraceEventKind::FlowArrive: {
-        FlowTimeline& t = by_flow[e.flow.value()];
-        t.flow = e.flow.value();
-        t.arrive_time = e.time;
-        t.src = e.src_host.value();
-        t.dst = e.dst_host.value();
-        t.size = static_cast<double>(e.size);
-        t.first_path = e.path_to;
-        break;
-      }
-      case TraceEventKind::FlowElephant: {
-        FlowTimeline& t = by_flow[e.flow.value()];
-        t.flow = e.flow.value();
-        t.elephant_time = e.time;
-        break;
-      }
-      case TraceEventKind::FlowMove: {
-        FlowTimeline& t = by_flow[e.flow.value()];
-        t.flow = e.flow.value();
-        MoveStep step;
-        step.time = e.time;
-        step.from = e.path_from;
-        step.to = e.path_to;
-        step.bonf_delta = e.gain;
-        step.cause_id = e.cause_id;
-        if (e.cause_id != 0) {
-          const auto it = rounds_seen.find(e.cause_id);
-          if (it != rounds_seen.end()) step.cause_event = it->second;
-        }
-        t.moves.push_back(step);
-        break;
-      }
-      case TraceEventKind::FlowComplete: {
-        FlowTimeline& t = by_flow[e.flow.value()];
-        t.flow = e.flow.value();
-        t.complete_time = e.time;
-        break;
-      }
-      case TraceEventKind::DardRound:
-        if (e.accepted && e.cause_id != 0)
-          rounds_seen[e.cause_id] = static_cast<std::ptrdiff_t>(i);
-        break;
-      case TraceEventKind::Fault:
-      case TraceEventKind::Snapshot:
-      case TraceEventKind::Span:
-        break;
-    }
-  }
-
-  std::vector<FlowTimeline> out;
-  out.reserve(by_flow.size());
-  for (auto& [id, t] : by_flow) out.push_back(std::move(t));
-  return out;
-}
-
-CauseAudit audit_causes(const std::vector<TraceEvent>& trace) {
-  CauseAudit audit;
-  std::set<std::uint64_t> rounds_seen;
-  for (const TraceEvent& e : trace) {
-    if (e.kind == TraceEventKind::DardRound && e.accepted && e.cause_id != 0) {
-      rounds_seen.insert(e.cause_id);
-    } else if (e.kind == TraceEventKind::FlowMove) {
-      ++audit.moves;
-      if (e.cause_id == 0) continue;
-      ++audit.attributed;
-      // Strictly prior: the round id must already be in the seen set when
-      // the move streams past (insertion order == trace order).
-      if (rounds_seen.count(e.cause_id) > 0)
-        ++audit.resolved;
-      else
-        ++audit.dangling;
-    }
-  }
-  return audit;
-}
-
-Convergence analyze_convergence(const std::vector<TraceEvent>& trace,
-                                std::size_t window) {
-  Convergence c;
-  c.oscillation_window = window;
-
-  std::set<double> instants;
-  std::size_t instants_at_last_move = 0;
-  double trace_end = 0;
-  std::size_t evals_at_last_move = 0;
-
-  // Per-flow recent path history: the last `window` paths each flow left,
-  // most recent last. Returning to any of them is one oscillation.
-  std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> left_paths;
-  std::set<std::uint32_t> oscillating;
-
-  for (const TraceEvent& e : trace) {
-    trace_end = std::max(trace_end, e.time);
-    if (e.kind == TraceEventKind::DardRound) {
-      ++c.evaluations;
-      instants.insert(e.time);
-    } else if (e.kind == TraceEventKind::FlowMove) {
-      ++c.moves;
-      c.last_move_time = e.time;
-      // A host's round emits its evaluations before the winning move, so
-      // the current instant is already counted here.
-      evals_at_last_move = c.evaluations;
-      instants_at_last_move = instants.size();
-
-      auto& history = left_paths[e.flow.value()];
-      if (std::find(history.begin(), history.end(), e.path_to) !=
-          history.end()) {
-        ++c.oscillations;
-        oscillating.insert(e.flow.value());
-      }
-      history.push_back(e.path_from);
-      if (history.size() > window) history.erase(history.begin());
-    }
-  }
-
-  c.scheduling_instants = instants.size();
-  c.rounds_to_quiescence = evals_at_last_move;
-  c.instants_to_quiescence = instants_at_last_move;
-  if (c.last_move_time >= 0) c.quiescent_tail_s = trace_end - c.last_move_time;
-  c.oscillating_flows.assign(oscillating.begin(), oscillating.end());
-  return c;
-}
-
-ChurnSummary summarize_churn(const std::vector<FlowTimeline>& timelines) {
-  ChurnSummary s;
-  s.flows = timelines.size();
-  for (const FlowTimeline& t : timelines) {
-    if (t.elephant_time >= 0) ++s.elephants;
-    if (t.moves.empty()) continue;
-    ++s.flows_moved;
-    s.total_moves += t.moves.size();
-    if (t.moves.size() > s.max_moves_per_flow) {
-      s.max_moves_per_flow = t.moves.size();
-      s.max_moves_flow = t.flow;
-    }
-  }
-  return s;
-}
-
-UtilizationSummary summarize_utilization(
-    const std::vector<LinkSample>& samples) {
-  UtilizationSummary s;
-  if (samples.empty()) return s;
-  s.recorded = true;
-  s.samples = samples.size();
-  std::set<std::uint32_t> links;
-  double total = 0;
-  for (const LinkSample& sample : samples) {
-    links.insert(sample.link);
-    total += sample.utilization;
-    if (sample.utilization > s.peak_utilization) {
-      s.peak_utilization = sample.utilization;
-      s.peak_link = sample.src + "->" + sample.dst;
-      s.peak_time = sample.time;
-    }
-  }
-  s.links = links.size();
-  s.mean_utilization = total / static_cast<double>(samples.size());
-  return s;
+double AgentChurn::reconvergence_s() const {
+  if (last_restart < 0) return -1;
+  const auto it =
+      std::lower_bound(round_records.begin(), round_records.end(),
+                       last_restart);
+  return it == round_records.end() ? -1 : *it - last_restart;
 }
 
 ControlOverhead summarize_control(const RunData& run) {
@@ -194,108 +28,6 @@ ControlOverhead summarize_control(const RunData& run) {
   c.delta_rejections = run.metric_value("dard.delta_rejections");
   c.fallback_rounds = run.metric_value("dard.fallback_rounds");
   return c;
-}
-
-SpanAudit audit_spans(const std::vector<TraceEvent>& trace) {
-  SpanAudit a;
-  // Ids a parent may legally reference: earlier span ids plus earlier
-  // accepted round ids (Move spans cite the dard_round that won). One
-  // ordered pass reproduces the streaming audit exactly.
-  std::set<std::uint64_t> ids_seen;
-  for (const TraceEvent& e : trace) {
-    if (e.kind == TraceEventKind::DardRound) {
-      if (e.accepted && e.cause_id != 0) ids_seen.insert(e.cause_id);
-      continue;
-    }
-    if (e.kind != TraceEventKind::Span) continue;
-    ++a.spans;
-    switch (e.span_kind) {
-      case obs::SpanKind::Query: ++a.query_spans; break;
-      case obs::SpanKind::Refresh: ++a.refresh_spans; break;
-      case obs::SpanKind::Decision: ++a.decision_spans; break;
-      case obs::SpanKind::Move: ++a.move_spans; break;
-      case obs::SpanKind::None: break;
-    }
-    // Wire totals live on Query spans (attempts/timeouts/lost) and Refresh
-    // spans (the attributed bytes); summing both kinds would double-count.
-    if (e.span_kind == obs::SpanKind::Query) {
-      a.attempts += e.span_attempts;
-      a.timeouts += e.span_timeouts;
-      a.lost += e.span_lost;
-    }
-    if (e.span_kind == obs::SpanKind::Refresh) a.bytes += e.span_bytes;
-    if (e.parent_id != 0) {
-      ++a.parented;
-      if (ids_seen.count(e.parent_id) > 0)
-        ++a.resolved;
-      else
-        ++a.dangling;
-    }
-    if (e.cause_id != 0) ids_seen.insert(e.cause_id);
-  }
-  return a;
-}
-
-std::vector<DaemonSpanSummary> summarize_daemon_spans(
-    const std::vector<TraceEvent>& trace) {
-  std::map<std::uint32_t, DaemonSpanSummary> by_host;
-  for (const TraceEvent& e : trace) {
-    if (e.kind != TraceEventKind::Span) continue;
-    DaemonSpanSummary& d = by_host[e.src_host.value()];
-    d.host = e.src_host.value();
-    switch (e.span_kind) {
-      case obs::SpanKind::Query:
-        ++d.queries;
-        d.attempts += e.span_attempts;
-        d.timeouts += e.span_timeouts;
-        d.lost += e.span_lost;
-        break;
-      case obs::SpanKind::Refresh:
-        ++d.refreshes;
-        d.bytes += e.span_bytes;
-        break;
-      case obs::SpanKind::Decision:
-        ++d.decisions;
-        break;
-      case obs::SpanKind::Move:
-        ++d.moves;
-        d.max_chain_s = std::max(d.max_chain_s, e.span_duration);
-        d.total_chain_s += e.span_duration;
-        break;
-      case obs::SpanKind::None:
-        break;
-    }
-  }
-  std::vector<DaemonSpanSummary> out;
-  out.reserve(by_host.size());
-  for (auto& [host, d] : by_host) out.push_back(d);
-  return out;
-}
-
-std::vector<SpanChain> slowest_chains(const std::vector<TraceEvent>& trace,
-                                      std::size_t top_n) {
-  std::vector<SpanChain> chains;
-  for (const TraceEvent& e : trace) {
-    if (e.kind != TraceEventKind::Span ||
-        e.span_kind != obs::SpanKind::Move)
-      continue;
-    SpanChain c;
-    c.time = e.time;
-    c.host = e.src_host.value();
-    c.flow = e.flow.valid() ? e.flow.value() : 0;
-    c.round_id = e.parent_id;
-    c.duration_s = e.span_duration;
-    chains.push_back(c);
-  }
-  std::sort(chains.begin(), chains.end(),
-            [](const SpanChain& x, const SpanChain& y) {
-              if (x.duration_s != y.duration_s)
-                return x.duration_s > y.duration_s;
-              if (x.time != y.time) return x.time < y.time;
-              return x.host < y.host;
-            });
-  if (chains.size() > top_n) chains.resize(top_n);
-  return chains;
 }
 
 RunDiff diff_runs(const RunData& a, const RunData& b, std::size_t top_n) {
@@ -357,27 +89,25 @@ RunDiff diff_runs(const RunData& a, const RunData& b, std::size_t top_n) {
   // Per-flow completion-time comparison, matched by flow id. Flows that
   // completed in only one run cannot be compared, but silently skipping
   // them hides population changes — report them as appeared/disappeared.
-  std::unordered_map<std::uint32_t, double> a_transfer;
-  std::set<std::uint32_t> a_unmatched;
-  for (const FlowTimeline& t : build_timelines(a.trace)) {
-    if (t.transfer_s() < 0) continue;
-    a_transfer[t.flow] = t.transfer_s();
-    a_unmatched.insert(t.flow);
-  }
+  const auto completed = [](const RunData& run, std::uint32_t flow) {
+    const auto it = run.timelines.find(flow);
+    return it != run.timelines.end() && it->second.transfer_s() >= 0
+               ? &it->second
+               : nullptr;
+  };
   std::vector<FlowRegression> regressions;
-  for (const FlowTimeline& t : build_timelines(b.trace)) {
+  for (const auto& [flow, t] : b.timelines) {
     if (t.transfer_s() < 0) continue;
-    const auto it = a_transfer.find(t.flow);
-    if (it == a_transfer.end()) {
+    const FlowTimeline* in_a = completed(a, flow);
+    if (in_a == nullptr) {
       ++d.appeared_flows;
-      if (d.appeared_ids.size() < top_n) d.appeared_ids.push_back(t.flow);
+      if (d.appeared_ids.size() < top_n) d.appeared_ids.push_back(flow);
       continue;
     }
-    a_unmatched.erase(t.flow);
     ++d.matched_flows;
     FlowRegression r;
-    r.flow = t.flow;
-    r.a_transfer_s = it->second;
+    r.flow = flow;
+    r.a_transfer_s = in_a->transfer_s();
     r.b_transfer_s = t.transfer_s();
     if (r.delta_s() > 1e-9) {
       ++d.regressed_flows;
@@ -393,10 +123,10 @@ RunDiff diff_runs(const RunData& a, const RunData& b, std::size_t top_n) {
             });
   if (regressions.size() > top_n) regressions.resize(top_n);
   d.top_regressions = std::move(regressions);
-  d.disappeared_flows = a_unmatched.size();
-  for (const std::uint32_t flow : a_unmatched) {
-    if (d.disappeared_ids.size() >= top_n) break;
-    d.disappeared_ids.push_back(flow);
+  for (const auto& [flow, t] : a.timelines) {
+    if (t.transfer_s() < 0 || completed(b, flow) != nullptr) continue;
+    ++d.disappeared_flows;
+    if (d.disappeared_ids.size() < top_n) d.disappeared_ids.push_back(flow);
   }
   return d;
 }

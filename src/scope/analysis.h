@@ -1,18 +1,23 @@
-// Offline trace analyses (DESIGN.md §12): per-flow timelines, causal-link
-// validation, convergence diagnostics, churn / utilization / control
-// overhead summaries, and A/B run comparison.
+// What dardscope reports about a run (DESIGN.md §12): per-flow timelines,
+// causal-link and span audits, convergence diagnostics, churn, utilization
+// and control-overhead summaries, and A/B run comparison.
 //
-// Everything here is a pure function of loaded RunData — no simulator
-// types, no side effects — so analyses compose and test in isolation.
+// The records here are filled as the trace streams in: StreamingAnalyzer
+// (streaming.h) keeps the headline summaries and RunData (run_loader.h) the
+// per-flow, per-daemon and per-chain rows only the offline subcommands
+// read. No simulator types, no side effects.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "scope/run_loader.h"
+#include "obs/observer.h"
 
 namespace dard::scope {
+
+struct RunData;
 
 // One path change of one flow, with its causal attribution.
 struct MoveStep {
@@ -21,16 +26,16 @@ struct MoveStep {
   std::uint32_t to = 0;
   double bonf_delta = 0;        // ground-truth gain at move time
   std::uint64_t cause_id = 0;   // 0 = unattributed
-  // Index into the trace of the DardRound event this move resolved to, or
-  // -1 (unattributed / dangling). Resolution requires the round to appear
-  // strictly before the move in the trace.
+  // Trace index (0-based, blank lines not counted) of the latest accepted
+  // DardRound with this cause id before the move, or -1 (unattributed /
+  // dangling).
   std::ptrdiff_t cause_event = -1;
 };
 
 // Lifecycle of one flow reassembled from the event stream.
 struct FlowTimeline {
   std::uint32_t flow = 0;
-  double arrive_time = -1;
+  double arrive_time = -1;    // -1 = the trace starts after the arrival
   double elephant_time = -1;  // -1 = never promoted
   double complete_time = -1;  // -1 = still active at end of trace
   std::uint32_t src = 0;
@@ -46,11 +51,6 @@ struct FlowTimeline {
   }
 };
 
-// Builds per-flow timelines in flow-id order. Trace order is event order;
-// flows appearing mid-trace (ring-buffer truncation) get arrive_time -1.
-[[nodiscard]] std::vector<FlowTimeline> build_timelines(
-    const std::vector<obs::TraceEvent>& trace);
-
 // Causal-link audit over every FlowMove in the trace.
 struct CauseAudit {
   std::size_t moves = 0;        // all FlowMove events
@@ -60,15 +60,12 @@ struct CauseAudit {
   [[nodiscard]] bool clean() const { return dangling == 0; }
 };
 
-[[nodiscard]] CauseAudit audit_causes(
-    const std::vector<obs::TraceEvent>& trace);
-
 // Convergence diagnostics. A "round" is one DardRound evaluation (each has
 // a unique round id); "scheduling instants" groups evaluations that fired
 // at the same simulated time (one host's round visits several monitors).
 struct Convergence {
   std::size_t evaluations = 0;          // DardRound events
-  std::size_t scheduling_instants = 0;  // distinct DardRound timestamps
+  std::size_t scheduling_instants = 0;  // distinct DardRound times
   std::size_t moves = 0;                // accepted evaluations
   // Evaluations (resp. instants) up to and including the last accepted
   // move: how much scheduling work it took to reach quiescence. 0 when the
@@ -85,10 +82,7 @@ struct Convergence {
   std::vector<std::uint32_t> oscillating_flows;  // unique, ascending
 };
 
-[[nodiscard]] Convergence analyze_convergence(
-    const std::vector<obs::TraceEvent>& trace, std::size_t window = 4);
-
-// Path-churn summary over the flow timelines.
+// Path-churn summary over the flows.
 struct ChurnSummary {
   std::size_t flows = 0;
   std::size_t elephants = 0;
@@ -103,9 +97,6 @@ struct ChurnSummary {
   }
 };
 
-[[nodiscard]] ChurnSummary summarize_churn(
-    const std::vector<FlowTimeline>& timelines);
-
 // Link-utilization summary from the link sampler CSV.
 struct UtilizationSummary {
   bool recorded = false;  // false = run had no link samples
@@ -117,8 +108,27 @@ struct UtilizationSummary {
   double peak_time = 0;
 };
 
-[[nodiscard]] UtilizationSummary summarize_utilization(
-    const std::vector<LinkSample>& samples);
+// Agent-level churn (DESIGN.md §16) from the trace's fault events.
+struct AgentChurn {
+  std::size_t crashes = 0;
+  std::size_t restarts = 0;
+  // Host down/up transitions; the daemon transition rides along as its own
+  // agent_crash / agent_restart event, so these only count here.
+  std::size_t host_events = 0;
+  double last_restart = -1;  // the last agent_restart's time, -1 = none
+  // The accepted DardRounds' times that exceed every earlier accepted
+  // round's, in trace order. The first accepted round at or after a time T
+  // is the first of these that is >= T.
+  std::vector<double> round_records;
+
+  void note_accepted_round(double time) {
+    if (round_records.empty() || time > round_records.back())
+      round_records.push_back(time);
+  }
+  // From the last restart to the first accepted round at or after it; -1
+  // when there was no restart or no such round.
+  [[nodiscard]] double reconvergence_s() const;
+};
 
 // Control-plane overhead from the dard.* counters (zeros when the run had
 // no metrics file or a non-DARD scheduler).
@@ -159,8 +169,6 @@ struct SpanAudit {
   [[nodiscard]] bool clean() const { return dangling == 0; }
 };
 
-[[nodiscard]] SpanAudit audit_spans(const std::vector<obs::TraceEvent>& trace);
-
 // Per-daemon span activity, ascending host id.
 struct DaemonSpanSummary {
   std::uint32_t host = 0;
@@ -176,11 +184,7 @@ struct DaemonSpanSummary {
   double total_chain_s = 0; // summed move-span durations
 };
 
-[[nodiscard]] std::vector<DaemonSpanSummary> summarize_daemon_spans(
-    const std::vector<obs::TraceEvent>& trace);
-
-// Complete refresh→decision→move chains (one per Move span), slowest
-// first; ties broken by time then host for determinism.
+// One complete refresh→decision→move chain (one per Move span).
 struct SpanChain {
   double time = 0;            // when the move applied
   std::uint32_t host = 0;
@@ -188,9 +192,6 @@ struct SpanChain {
   std::uint64_t round_id = 0; // the winning dard_round (span parent)
   double duration_s = 0;      // refresh start → move
 };
-
-[[nodiscard]] std::vector<SpanChain> slowest_chains(
-    const std::vector<obs::TraceEvent>& trace, std::size_t top_n = 10);
 
 // A/B comparison. Metric deltas come from manifest results and counters;
 // per-flow regressions match completed flows by id across the two runs

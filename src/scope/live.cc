@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "harness/manifest.h"
+#include "scope/run_loader.h"
 #include "scope/trace_load.h"
 
 namespace dard::scope {

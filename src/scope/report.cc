@@ -51,7 +51,7 @@ std::string fabric_line(const Report& r) {
 
 }  // namespace
 
-Report build_report(const RunData& run, std::size_t oscillation_window) {
+Report build_report(const RunData& run) {
   Report r;
   r.source = run.source;
   r.scheduler = run.manifest_string("scheduler");
@@ -77,43 +77,19 @@ Report build_report(const RunData& run, std::size_t oscillation_window) {
   r.agg_oversub_max =
       run.manifest_path_number("topology_params.agg_oversub_max");
   r.has_shape = r.host_cap_max_bps > 0 || r.tor_up_cap_max_bps > 0;
-  r.trace_events = run.trace.size();
-  double last_restart = -1;
-  for (const auto& e : run.trace) {
-    if (e.kind != obs::TraceEventKind::Fault) continue;
-    ++r.fault_events;
-    switch (e.fault_action) {
-      case obs::FaultAction::AgentCrash:
-        ++r.agent_crashes;
-        break;
-      case obs::FaultAction::AgentRestart:
-        ++r.agent_restarts;
-        last_restart = e.time;
-        break;
-      case obs::FaultAction::HostDown:
-      case obs::FaultAction::HostUp:
-        // The daemon transition rides along as its own agent_crash /
-        // agent_restart event, so host events only count here.
-        ++r.host_events;
-        break;
-      default:
-        break;
-    }
-  }
-  if (last_restart >= 0)
-    for (const auto& e : run.trace)
-      if (e.kind == obs::TraceEventKind::DardRound && e.accepted &&
-          e.time >= last_restart) {
-        r.reconvergence_s = e.time - last_restart;
-        break;
-      }
-  r.timelines = build_timelines(run.trace);
-  r.causes = audit_causes(run.trace);
-  r.convergence = analyze_convergence(run.trace, oscillation_window);
-  r.churn = summarize_churn(r.timelines);
-  r.utilization = summarize_utilization(run.link_samples);
+  const StreamingAnalyzer& a = run.analysis;
+  r.trace_events = a.totals().trace_events;
+  r.fault_events = a.totals().fault_events;
+  r.agent_crashes = run.agents.crashes;
+  r.agent_restarts = run.agents.restarts;
+  r.host_events = run.agents.host_events;
+  r.reconvergence_s = run.agents.reconvergence_s();
+  r.causes = a.causes();
+  r.convergence = a.convergence();
+  r.churn = a.churn();
+  r.utilization = a.utilization();
   r.control = summarize_control(run);
-  r.spans = audit_spans(run.trace);
+  r.spans = a.spans();
   r.goodput_bytes = run.manifest_path_number("results.goodput_bytes");
   r.control_overhead_ratio =
       run.manifest_path_number("results.control_overhead_ratio");
@@ -133,7 +109,7 @@ void write_text(std::ostream& os, const Report& r) {
     os << "wall clock: setup " << fmt(r.setup_s) << " s, run " << fmt(r.run_s)
        << " s, collect " << fmt(r.collect_s) << " s\n";
   }
-  os << "trace: " << r.trace_events << " events, " << r.timelines.size()
+  os << "trace: " << r.trace_events << " events, " << r.churn.flows
      << " flows";
   if (r.fault_events > 0) os << ", " << r.fault_events << " fault transitions";
   os << '\n';
@@ -243,7 +219,7 @@ void write_markdown(std::ostream& os, const Report& r) {
   }
   os << "| metric | value |\n|---|---|\n";
   os << "| trace events | " << r.trace_events << " |\n";
-  os << "| flows | " << r.timelines.size() << " |\n";
+  os << "| flows | " << r.churn.flows << " |\n";
   os << "| fault transitions | " << r.fault_events << " |\n";
   if (r.agent_crashes > 0 || r.agent_restarts > 0) {
     os << "| daemon crashes / restarts | " << r.agent_crashes << " / "
@@ -293,12 +269,7 @@ void write_markdown(std::ostream& os, const Report& r) {
   os << '\n';
 }
 
-bool write_flow_text(std::ostream& os, const Report& r, std::uint32_t flow) {
-  const auto it =
-      std::find_if(r.timelines.begin(), r.timelines.end(),
-                   [&](const FlowTimeline& t) { return t.flow == flow; });
-  if (it == r.timelines.end()) return false;
-  const FlowTimeline& t = *it;
+void write_flow_text(std::ostream& os, const FlowTimeline& t) {
   os << "flow " << t.flow << ": " << t.src << " -> " << t.dst << ", "
      << fmt(t.size / 1048576.0, 1) << " MiB\n";
   if (t.arrive_time >= 0)
@@ -322,7 +293,6 @@ bool write_flow_text(std::ostream& os, const Report& r, std::uint32_t flow) {
        << fmt(t.transfer_s()) << " s)\n";
   else
     os << "  (still active at end of trace)\n";
-  return true;
 }
 
 SpansReport build_spans_report(const RunData& run, std::size_t top_n) {
@@ -330,9 +300,18 @@ SpansReport build_spans_report(const RunData& run, std::size_t top_n) {
   r.source = run.source;
   r.scheduler = run.manifest_string("scheduler");
   r.substrate = run.manifest_string("substrate");
-  r.audit = audit_spans(run.trace);
-  r.daemons = summarize_daemon_spans(run.trace);
-  r.chains = slowest_chains(run.trace, top_n);
+  r.audit = run.analysis.spans();
+  r.daemons.reserve(run.daemons.size());
+  for (const auto& [host, d] : run.daemons) r.daemons.push_back(d);
+  r.chains = run.chains;
+  std::sort(r.chains.begin(), r.chains.end(),
+            [](const SpanChain& x, const SpanChain& y) {
+              if (x.duration_s != y.duration_s)
+                return x.duration_s > y.duration_s;
+              if (x.time != y.time) return x.time < y.time;
+              return x.host < y.host;
+            });
+  if (r.chains.size() > top_n) r.chains.resize(top_n);
   r.hotlinks = run.control_bytes;
   for (const ControlByteRow& row : r.hotlinks)
     r.hotlink_total_bytes += row.bytes;

@@ -44,7 +44,6 @@ struct Report {
   std::size_t agent_restarts = 0;
   std::size_t host_events = 0;
   double reconvergence_s = -1;
-  std::vector<FlowTimeline> timelines;
   CauseAudit causes;
   Convergence convergence;
   ChurnSummary churn;
@@ -64,15 +63,16 @@ struct Report {
   double collect_s = 0;
 };
 
-[[nodiscard]] Report build_report(const RunData& run,
-                                  std::size_t oscillation_window = 4);
+// The convergence figures use the window the run was loaded with
+// (RunData's constructor).
+[[nodiscard]] Report build_report(const RunData& run);
 
 void write_text(std::ostream& os, const Report& r);
 void write_markdown(std::ostream& os, const Report& r);
 
-// One flow's timeline in detail (the `dardscope flow` subcommand). Returns
-// false when the flow does not appear in the report's trace.
-bool write_flow_text(std::ostream& os, const Report& r, std::uint32_t flow);
+// One flow's timeline in detail (the `dardscope flow` subcommand; the flow
+// is looked up in RunData::timelines).
+void write_flow_text(std::ostream& os, const FlowTimeline& t);
 
 // Control-plane span report (the `dardscope spans` subcommand, DESIGN.md
 // §17): audit + per-daemon activity + slowest refresh→move chains + the

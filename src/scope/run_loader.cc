@@ -1,5 +1,6 @@
 #include "scope/run_loader.h"
 
+#include <algorithm>
 #include <array>
 #include <cctype>
 #include <filesystem>
@@ -48,37 +49,53 @@ double to_number(std::string_view s) {
   return numtext::parse_double(s, &v) ? v : 0;
 }
 
+// Streams `path` one line at a time through one reused buffer, skipping
+// blank lines (and, with `header`, the first line). `fn(line, line_no)`
+// returns false to stop the read, which then fails.
+template <class Fn>
+bool for_each_line(const std::string& path, bool header, const char* what,
+                   std::string* error, Fn&& fn) {
+  std::ifstream in(path);
+  if (!in) {
+    *error = std::string("cannot open ") + what + " file: " + path;
+    return false;
+  }
+  std::string line;
+  std::size_t line_no = 0;
+  if (header && std::getline(in, line)) ++line_no;
+  while (std::getline(in, line)) {
+    ++line_no;
+    if (!line.empty() && !fn(line, line_no)) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 bool load_metrics_file(const std::string& path,
                        std::map<std::string, MetricRow>* out,
                        std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    *error = "cannot open metrics file: " + path;
-    return false;
-  }
-  std::string line;
-  std::getline(in, line);  // header: name,kind,count,value,mean,min,max
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const CsvCells cells(line);
-    if (cells.size() < 4) {
-      *error = "malformed metrics row in " + path + ": " + line;
-      return false;
-    }
-    MetricRow row;
-    row.kind = std::string(cells[1]);
-    row.count = to_number(cells[2]);
-    row.value = to_number(cells[3]);
-    if (cells.size() >= 7) {
-      row.mean = to_number(cells[4]);
-      row.min = to_number(cells[5]);
-      row.max = to_number(cells[6]);
-    }
-    (*out)[std::string(cells[0])] = row;
-  }
-  return true;
+  // Header: name,kind,count,value,mean,min,max.
+  return for_each_line(
+      path, /*header=*/true, "metrics", error,
+      [&](const std::string& line, std::size_t) {
+        const CsvCells cells(line);
+        if (cells.size() < 4) {
+          *error = "malformed metrics row in " + path + ": " + line;
+          return false;
+        }
+        MetricRow row;
+        row.kind = std::string(cells[1]);
+        row.count = to_number(cells[2]);
+        row.value = to_number(cells[3]);
+        if (cells.size() >= 7) {
+          row.mean = to_number(cells[4]);
+          row.min = to_number(cells[5]);
+          row.max = to_number(cells[6]);
+        }
+        (*out)[std::string(cells[0])] = row;
+        return true;
+      });
 }
 
 bool parse_link_sample_row(const std::string& line, LinkSample* out) {
@@ -100,81 +117,170 @@ bool parse_link_sample_row(const std::string& line, LinkSample* out) {
   return true;
 }
 
-namespace {
+void RunData::add_event(const obs::TraceEvent& e) {
+  using obs::TraceEventKind;
+  const auto index =
+      static_cast<std::ptrdiff_t>(analysis.totals().trace_events);
+  analysis.on_event(e);
 
-bool load_link_samples_csv(const std::string& path,
-                           std::vector<LinkSample>* out, std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    *error = "cannot open link samples file: " + path;
-    return false;
-  }
-  std::string line;
-  std::getline(in, line);  // header
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    LinkSample s;
-    if (!parse_link_sample_row(line, &s)) {
-      *error = "malformed link sample row in " + path + ": " + line;
-      return false;
+  const auto timeline = [&]() -> FlowTimeline& {
+    FlowTimeline& t = timelines[e.flow.value()];
+    t.flow = e.flow.value();
+    return t;
+  };
+  switch (e.kind) {
+    case TraceEventKind::FlowArrive: {
+      FlowTimeline& t = timeline();
+      t.arrive_time = e.time;
+      t.src = e.src_host.value();
+      t.dst = e.dst_host.value();
+      t.size = static_cast<double>(e.size);
+      t.first_path = e.path_to;
+      break;
     }
-    out->push_back(std::move(s));
+    case TraceEventKind::FlowElephant:
+      timeline().elephant_time = e.time;
+      break;
+    case TraceEventKind::FlowMove: {
+      MoveStep step;
+      step.time = e.time;
+      step.from = e.path_from;
+      step.to = e.path_to;
+      step.bonf_delta = e.gain;
+      step.cause_id = e.cause_id;
+      if (e.cause_id != 0) {
+        const auto it = round_events_.find(e.cause_id);
+        if (it != round_events_.end()) step.cause_event = it->second;
+      }
+      timeline().moves.push_back(step);
+      break;
+    }
+    case TraceEventKind::FlowComplete:
+      timeline().complete_time = e.time;
+      break;
+    case TraceEventKind::DardRound:
+      if (!e.accepted) break;
+      agents.note_accepted_round(e.time);
+      if (e.cause_id != 0) round_events_[e.cause_id] = index;
+      break;
+    case TraceEventKind::Fault:
+      switch (e.fault_action) {
+        case obs::FaultAction::AgentCrash:
+          ++agents.crashes;
+          break;
+        case obs::FaultAction::AgentRestart:
+          ++agents.restarts;
+          agents.last_restart = e.time;
+          break;
+        case obs::FaultAction::HostDown:
+        case obs::FaultAction::HostUp:
+          ++agents.host_events;
+          break;
+        default:
+          break;
+      }
+      break;
+    case TraceEventKind::Span: {
+      DaemonSpanSummary& d = daemons[e.src_host.value()];
+      d.host = e.src_host.value();
+      switch (e.span_kind) {
+        case obs::SpanKind::Query:
+          ++d.queries;
+          d.attempts += e.span_attempts;
+          d.timeouts += e.span_timeouts;
+          d.lost += e.span_lost;
+          break;
+        case obs::SpanKind::Refresh:
+          ++d.refreshes;
+          d.bytes += e.span_bytes;
+          break;
+        case obs::SpanKind::Decision:
+          ++d.decisions;
+          break;
+        case obs::SpanKind::Move:
+          ++d.moves;
+          d.max_chain_s = std::max(d.max_chain_s, e.span_duration);
+          d.total_chain_s += e.span_duration;
+          chains.push_back(SpanChain{e.time, e.src_host.value(),
+                                     e.flow.valid() ? e.flow.value() : 0,
+                                     e.parent_id, e.span_duration});
+          break;
+        case obs::SpanKind::None:
+          break;
+      }
+      break;
+    }
+    case TraceEventKind::Snapshot:
+      break;
   }
-  return true;
 }
 
-bool load_agg_samples_csv(const std::string& path, std::vector<AggSample>* out,
-                          std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    *error = "cannot open aggregate samples file: " + path;
-    return false;
-  }
-  std::string line;
-  std::getline(in, line);  // header
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const CsvCells cells(line);
-    if (cells.size() < 5) {
-      *error = "malformed aggregate sample row in " + path + ": " + line;
-      return false;
-    }
-    AggSample s;
-    s.time = to_number(cells[0]);
-    s.active_flows = to_number(cells[1]);
-    s.active_elephants = to_number(cells[2]);
-    s.throughput_bps = to_number(cells[3]);
-    s.max_utilization = to_number(cells[4]);
-    out->push_back(s);
-  }
-  return true;
+namespace {
+
+bool read_trace(const std::string& path, RunData* out, std::string* error) {
+  obs::TraceEvent e;
+  std::string line_error;
+  return for_each_line(
+      path, /*header=*/false, "trace", error,
+      [&](const std::string& line, std::size_t line_no) {
+        if (!parse_trace_line(line, &e, &line_error)) {
+          std::ostringstream os;
+          os << path << ':' << line_no << ": " << line_error;
+          *error = os.str();
+          return false;
+        }
+        out->add_event(e);
+        return true;
+      });
+}
+
+bool read_link_samples(const std::string& path, RunData* out,
+                       std::string* error) {
+  LinkSample s;
+  return for_each_line(path, /*header=*/true, "link samples", error,
+                       [&](const std::string& line, std::size_t) {
+                         if (!parse_link_sample_row(line, &s)) {
+                           *error = "malformed link sample row in " + path +
+                                    ": " + line;
+                           return false;
+                         }
+                         out->analysis.on_link_sample(s);
+                         return true;
+                       });
+}
+
+// No analysis reads the aggregate samples; a malformed row still fails the
+// load, as it always has.
+bool check_agg_samples(const std::string& path, std::string* error) {
+  return for_each_line(path, /*header=*/true, "aggregate samples", error,
+                       [&](const std::string& line, std::size_t) {
+                         if (CsvCells(line).size() >= 5) return true;
+                         *error = "malformed aggregate sample row in " +
+                                  path + ": " + line;
+                         return false;
+                       });
 }
 
 bool load_control_bytes_csv(const std::string& path,
                             std::vector<ControlByteRow>* out,
                             std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    *error = "cannot open control bytes file: " + path;
-    return false;
-  }
-  std::string line;
-  std::getline(in, line);  // header: link,src,dst,control_bytes
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const CsvCells cells(line);
-    if (cells.size() < 4) {
-      *error = "malformed control bytes row in " + path + ": " + line;
-      return false;
-    }
-    ControlByteRow r;
-    r.link = static_cast<std::uint32_t>(to_number(cells[0]));
-    r.src.assign(cells[1]);
-    r.dst.assign(cells[2]);
-    r.bytes = static_cast<std::uint64_t>(to_number(cells[3]));
-    out->push_back(std::move(r));
-  }
-  return true;
+  // Header: link,src,dst,control_bytes.
+  return for_each_line(
+      path, /*header=*/true, "control bytes", error,
+      [&](const std::string& line, std::size_t) {
+        const CsvCells cells(line);
+        if (cells.size() < 4) {
+          *error = "malformed control bytes row in " + path + ": " + line;
+          return false;
+        }
+        ControlByteRow r;
+        r.link = static_cast<std::uint32_t>(to_number(cells[0]));
+        r.src.assign(cells[1]);
+        r.dst.assign(cells[2]);
+        r.bytes = static_cast<std::uint64_t>(to_number(cells[3]));
+        out->push_back(std::move(r));
+        return true;
+      });
 }
 
 // Artifact file name from the manifest's "files" object, else the canonical
@@ -236,7 +342,7 @@ bool load_run(const std::string& path, RunData* out, std::string* error) {
 
   if (!out->is_directory) {
     // Bare trace file: trace-only analyses.
-    return load_trace_file(path, &out->trace, error);
+    return read_trace(path, out, error);
   }
 
   const fs::path dir(path);
@@ -283,16 +389,16 @@ bool load_run(const std::string& path, RunData* out, std::string* error) {
              harness::kTraceFile + ")";
     return false;
   }
-  if (!load_trace_file(trace_path, &out->trace, error)) return false;
+  if (!read_trace(trace_path, out, error)) return false;
 
   if (const auto p = resolve("metrics", harness::kMetricsFile); !p.empty())
     if (!load_metrics_file(p, &out->metrics, error)) return false;
   if (const auto p = resolve("link_samples", harness::kLinkSamplesFile);
       !p.empty())
-    if (!load_link_samples_csv(p, &out->link_samples, error)) return false;
+    if (!read_link_samples(p, out, error)) return false;
   if (const auto p = resolve("agg_samples", harness::kAggSamplesFile);
       !p.empty())
-    if (!load_agg_samples_csv(p, &out->agg_samples, error)) return false;
+    if (!check_agg_samples(p, error)) return false;
   if (const auto p = resolve("control_bytes", harness::kControlBytesFile);
       !p.empty())
     if (!load_control_bytes_csv(p, &out->control_bytes, error)) return false;

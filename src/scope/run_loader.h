@@ -6,15 +6,21 @@
 // "not recorded"). The manifest is kept as a generic parsed JSON value plus
 // typed accessors for the fields the reports use, so a newer manifest never
 // breaks an older dardscope.
+//
+// The trace and the link samples are digested in one streaming pass as they
+// are read: RunData keeps what the reports need, never the events or rows.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/json.h"
 #include "obs/observer.h"
+#include "scope/streaming.h"
 
 namespace dard::scope {
 
@@ -50,27 +56,37 @@ struct ControlByteRow {
   std::uint64_t bytes = 0;
 };
 
-// One agg_samples.csv row.
-struct AggSample {
-  double time = 0;
-  double active_flows = 0;
-  double active_elephants = 0;
-  double throughput_bps = 0;
-  double max_utilization = 0;
-};
-
 struct RunData {
+  // `oscillation_window` is the convergence analysis's window in moves
+  // (dardscope --window).
+  explicit RunData(std::size_t oscillation_window = 4)
+      : analysis(oscillation_window) {}
+
   std::string source;  // the path given on the command line
   bool is_directory = false;
 
   // Present only for a run directory with a manifest.json.
   std::unique_ptr<json::Value> manifest;
 
-  std::vector<obs::TraceEvent> trace;
   std::map<std::string, MetricRow> metrics;       // empty = not recorded
-  std::vector<LinkSample> link_samples;           // empty = not recorded
-  std::vector<AggSample> agg_samples;             // empty = not recorded
   std::vector<ControlByteRow> control_bytes;      // empty = not recorded
+
+  // The trace and the link samples, digested as they streamed in. The
+  // analyzer is the one `dardscope live` runs; the members after it hold
+  // what only the offline subcommands read.
+  StreamingAnalyzer analysis;
+  // Every flow's timeline by id (`flow`, `diff`).
+  std::map<std::uint32_t, FlowTimeline> timelines;
+  // Span activity per daemon host (`spans`).
+  std::map<std::uint32_t, DaemonSpanSummary> daemons;
+  // One chain per Move span, in trace order (`spans` sorts and caps them).
+  std::vector<SpanChain> chains;
+  // Daemon crashes and restarts, and the reconvergence after the last one.
+  AgentChurn agents;
+
+  // Feeds one trace event, in trace order; load_run calls it for every
+  // line it reads (and hands link samples to analysis.on_link_sample).
+  void add_event(const obs::TraceEvent& e);
 
   // Manifest lookups; fall back when the manifest (or the field) is absent.
   [[nodiscard]] std::string manifest_string(const std::string& key,
@@ -82,12 +98,19 @@ struct RunData {
                                             double fallback = 0) const;
   [[nodiscard]] double metric_value(const std::string& name,
                                     double fallback = 0) const;
+
+ private:
+  // Accepted DardRound id -> trace index of the latest such round, for
+  // MoveStep::cause_event.
+  std::unordered_map<std::uint64_t, std::ptrdiff_t> round_events_;
 };
 
-// Loads a run from `path`: a directory (manifest-directed artifact set,
-// falling back to canonical file names when manifest.json is missing) or a
-// single JSONL trace file. Returns false and fills *error on any
-// malformed/unreadable input.
+// Loads a run from `path` into a freshly constructed *out: a directory
+// (manifest-directed artifact set, falling back to canonical file names
+// when manifest.json is missing) or a single JSONL trace file. The trace and
+// the link samples are read in one pass each and digested line by line;
+// aggregate-sample rows, which no analysis reads, are checked and dropped.
+// Returns false and fills *error on any malformed/unreadable input.
 [[nodiscard]] bool load_run(const std::string& path, RunData* out,
                             std::string* error);
 

@@ -2,19 +2,41 @@
 
 #include <algorithm>
 
+#include "scope/run_loader.h"
+
 namespace dard::scope {
 
 using obs::TraceEvent;
 using obs::TraceEventKind;
 
-void StreamingAnalyzer::note_accepted_round(std::uint64_t id) {
-  if (round_ids_.insert(id).second) {
-    round_order_.push_back(id);
-    if (round_order_.size() > kRoundIdWindow) {
-      round_ids_.erase(round_order_.front());
-      round_order_.pop_front();
+void StreamingAnalyzer::IdSet::insert(std::uint64_t id) {
+  static constexpr std::uint64_t kMinWords = 1024;
+  ++inserted_;
+  const std::uint64_t word = id / 64;
+  if (word >= words_.size()) {
+    if (word >= std::max(kMinWords, 8 * inserted_)) {
+      outliers_.insert(id);
+      return;
     }
+    words_.resize(word + 1);
   }
+  words_[word] |= std::uint64_t{1} << (id % 64);
+}
+
+bool StreamingAnalyzer::IdSet::contains(std::uint64_t id) const {
+  const std::uint64_t word = id / 64;
+  if (word < words_.size() && (words_[word] >> (id % 64) & 1U) != 0)
+    return true;
+  return outliers_.count(id) > 0;
+}
+
+void StreamingAnalyzer::TimeSet::insert(double t) {
+  // A time below the vector's last is either in it already or goes to the
+  // set; the set's times all stay below the last, so none is counted twice.
+  if (sorted_.empty() || t > sorted_.back())
+    sorted_.push_back(t);
+  else if (!std::binary_search(sorted_.begin(), sorted_.end(), t))
+    late_.insert(t);
 }
 
 void StreamingAnalyzer::fold_flow(std::uint32_t id, const LiveFlow& f) {
@@ -62,7 +84,7 @@ void StreamingAnalyzer::on_event(const TraceEvent& e) {
       ++causes_.moves;
       if (e.cause_id != 0) {
         ++causes_.attributed;
-        if (round_ids_.count(e.cause_id) > 0)
+        if (rounds_.contains(e.cause_id))
           ++causes_.resolved;
         else
           ++causes_.dangling;
@@ -70,8 +92,10 @@ void StreamingAnalyzer::on_event(const TraceEvent& e) {
 
       ++moves_;
       last_move_time_ = e.time;
+      // A host's round emits its evaluations before the winning move, so
+      // the current instant is already counted here.
       evals_at_last_move_ = evaluations_;
-      instants_at_last_move_ = instants_;
+      instants_at_last_move_ = instants_.size();
 
       if (std::find(f.left_paths.begin(), f.left_paths.end(), e.path_to) !=
           f.left_paths.end()) {
@@ -101,10 +125,11 @@ void StreamingAnalyzer::on_event(const TraceEvent& e) {
     }
     case TraceEventKind::DardRound:
       ++evaluations_;
-      if (!any_round_ || e.time != last_round_time_) ++instants_;
-      any_round_ = true;
-      last_round_time_ = e.time;
-      if (e.accepted && e.cause_id != 0) note_accepted_round(e.cause_id);
+      instants_.insert(e.time);
+      if (e.accepted && e.cause_id != 0) {
+        rounds_.insert(e.cause_id);
+        parents_.insert(e.cause_id);
+      }
       break;
     case TraceEventKind::Fault:
       ++totals_.fault_events;
@@ -138,12 +163,12 @@ void StreamingAnalyzer::on_event(const TraceEvent& e) {
       }
       if (e.parent_id != 0) {
         ++spans_.parented;
-        if (round_ids_.count(e.parent_id) > 0)
+        if (parents_.contains(e.parent_id))
           ++spans_.resolved;
         else
           ++spans_.dangling;
       }
-      if (e.cause_id != 0) note_accepted_round(e.cause_id);
+      if (e.cause_id != 0) parents_.insert(e.cause_id);
       break;
   }
 }
@@ -163,7 +188,7 @@ Convergence StreamingAnalyzer::convergence() const {
   Convergence c;
   c.oscillation_window = window_;
   c.evaluations = evaluations_;
-  c.scheduling_instants = instants_;
+  c.scheduling_instants = instants_.size();
   c.moves = moves_;
   c.rounds_to_quiescence = evals_at_last_move_;
   c.instants_to_quiescence = instants_at_last_move_;

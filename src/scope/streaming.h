@@ -1,56 +1,51 @@
-// Incremental (streaming) trace analysis: the engine behind
-// `dardscope live` (DESIGN.md §13).
+// The one trace analyzer (DESIGN.md §12, §13): `load_run` feeds it a
+// finished trace and `dardscope live` a growing one, one event at a time in
+// trace order.
 //
-// StreamingAnalyzer consumes trace events and link samples one at a time —
-// in trace order, which the simulator's single event queue guarantees is
-// non-decreasing in time — and maintains the same headline metrics the
-// offline report computes from a fully-loaded trace: convergence
-// (evaluations, scheduling instants, accepted moves, oscillations), path
-// churn, the causal-link audit, and link utilization. Its contract, pinned
-// by tests/streaming_test.cc: after feeding a complete trace, convergence()
-// / churn() / causes() / utilization() equal analyze_convergence() /
-// summarize_churn() / audit_causes() / summarize_utilization() on the same
-// data, field for field.
+// StreamingAnalyzer keeps the headline metrics of a run: stream totals, the
+// causal-link and span audits, convergence (evaluations, scheduling
+// instants, accepted moves, oscillations), path churn and link utilization.
+// Each figure is exact for any order of events, with one assumption the
+// simulators guarantee: a flow has no event after its flow_complete. The
+// summaries are valid mid-stream and final once the trace is exhausted.
+// tests/scope_reference_test.cc holds them, through every report, to the
+// whole-trace passes they replaced (tests/scope_reference.h).
 //
-// Memory is bounded by the *live* state of the run, not the trace length:
+// Memory follows the run's live state and its id range, not the length of
+// the trace:
 //  * per-flow state (move count, elephant flag, the oscillation window of
-//    recently-left paths) exists only while the flow is active and is
-//    folded into scalar aggregates on FlowComplete — a completed flow never
-//    moves again, so nothing is lost;
-//  * accepted DARD round ids are kept in a bounded ring (kRoundIdWindow)
-//    for resolving each move's cause id — in every trace the simulator
-//    writes, a move cites a round from the same scheduling instant, so the
-//    window is effectively infinite; a pathological trace citing a round
-//    more than kRoundIdWindow accepted rounds back would count the move as
-//    dangling where the offline audit resolves it;
-//  * distinct scheduling instants are counted with one comparison against
-//    the previous DardRound timestamp (times are non-decreasing), not a
-//    set of timestamps.
+//    recently-left paths) exists only while the flow is live and folds into
+//    scalar aggregates on flow_complete;
+//  * ids sit in bitmaps at one bit each: accepted round ids, which a move's
+//    cause may cite, and those plus span ids, which a span's parent may
+//    cite. Every id comes from one per-run counter
+//    (fabric::DataPlane::next_cause_id), so the ids are dense; an id far past
+//    the bitmap (hand-written or corrupt input) goes to an ordered set;
+//  * distinct DardRound times are kept sorted, 8 bytes per instant.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <set>
-#include <unordered_set>
+#include <string>
 #include <vector>
 
 #include "scope/analysis.h"
 
 namespace dard::scope {
 
+struct LinkSample;
+
 class StreamingAnalyzer {
  public:
-  // Accepted-round-id ring capacity (see header comment).
-  static constexpr std::size_t kRoundIdWindow = 65536;
-
   explicit StreamingAnalyzer(std::size_t oscillation_window = 4)
       : window_(oscillation_window) {}
 
   // Feed one trace event (in trace order).
   void on_event(const obs::TraceEvent& e);
-  // Feed one link-utilization sample (any order; only aggregates are kept).
+  // Feed one link-utilization sample (in file order; only aggregates are
+  // kept).
   void on_link_sample(const LinkSample& s);
 
   // Stream totals, updated on every event.
@@ -73,11 +68,8 @@ class StreamingAnalyzer {
   }
 
   // Current summaries. Each call assembles a value from the aggregates plus
-  // the still-live flows, so they are valid mid-stream and final once the
-  // trace is exhausted.
+  // the still-live flows.
   [[nodiscard]] const CauseAudit& causes() const { return causes_; }
-  // Span aggregates + online parent audit; equals audit_spans() on the same
-  // trace (span ids share the bounded ring caveat of the move audit).
   [[nodiscard]] const SpanAudit& spans() const { return spans_; }
   [[nodiscard]] Convergence convergence() const;
   [[nodiscard]] ChurnSummary churn() const;
@@ -87,17 +79,46 @@ class StreamingAnalyzer {
   struct LiveFlow {
     std::uint32_t moves = 0;
     bool elephant = false;
-    // The last `window_` paths this flow left, oldest first (the offline
-    // analyzer's per-flow history, kept only while the flow lives).
+    // The last `window_` paths this flow left, oldest first.
     std::vector<std::uint32_t> left_paths;
   };
 
+  // An exact set of ids from one per-run counter: a bitmap over the dense
+  // range, and an ordered set for ids past it. The bitmap grows only over
+  // ids below 65,536 or below 512 per id inserted (64 bytes of bitmap each),
+  // so a stray huge id cannot make it large.
+  class IdSet {
+   public:
+    void insert(std::uint64_t id);
+    [[nodiscard]] bool contains(std::uint64_t id) const;
+
+   private:
+    std::vector<std::uint64_t> words_;
+    std::set<std::uint64_t> outliers_;
+    std::uint64_t inserted_ = 0;
+  };
+
+  // Distinct times. A time above every earlier one appends to a sorted
+  // vector (the simulators emit times in order); any other time the vector
+  // lacks goes to an ordered set.
+  class TimeSet {
+   public:
+    void insert(double t);
+    [[nodiscard]] std::size_t size() const {
+      return sorted_.size() + late_.size();
+    }
+
+   private:
+    std::vector<double> sorted_;
+    std::set<double> late_;
+  };
+
   void fold_flow(std::uint32_t id, const LiveFlow& f);
-  void note_accepted_round(std::uint64_t id);
 
   std::size_t window_;
   Totals totals_;
   CauseAudit causes_;
+  SpanAudit spans_;
   std::shared_ptr<const obs::SnapshotStats> last_snapshot_;
 
   // Live flows by id; std::map so finalizing folds in ascending-id order.
@@ -112,9 +133,7 @@ class StreamingAnalyzer {
 
   // Convergence aggregates.
   std::size_t evaluations_ = 0;
-  std::size_t instants_ = 0;
-  bool any_round_ = false;
-  double last_round_time_ = 0;
+  TimeSet instants_;
   std::size_t moves_ = 0;
   double last_move_time_ = -1;
   std::size_t evals_at_last_move_ = 0;
@@ -123,12 +142,10 @@ class StreamingAnalyzer {
   std::size_t oscillations_ = 0;
   std::set<std::uint32_t> oscillating_;
 
-  // Causal audit: bounded ring of recently-accepted round ids. Span ids
-  // join the same ring — spans, rounds and moves share one id space, and a
-  // parent may cite either an earlier span or an earlier accepted round.
-  std::unordered_set<std::uint64_t> round_ids_;
-  std::deque<std::uint64_t> round_order_;
-  SpanAudit spans_;
+  // The ids a move's cause may cite (accepted rounds), and the ids a span's
+  // parent may cite (accepted rounds and spans).
+  IdSet rounds_;
+  IdSet parents_;
 
   // Utilization aggregates.
   std::size_t util_samples_ = 0;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <fstream>
 #include <sstream>
 #include <string_view>
+#include <vector>
 
 #include "common/json.h"
 
@@ -516,31 +516,6 @@ bool parse_trace_line(const std::string& line, obs::TraceEvent* out,
     return false;
   }
   return decode(f, out, error);
-}
-
-bool load_trace_file(const std::string& path,
-                     std::vector<obs::TraceEvent>* out, std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    *error = "cannot open trace file: " + path;
-    return false;
-  }
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    obs::TraceEvent e;
-    std::string line_error;
-    if (!parse_trace_line(line, &e, &line_error)) {
-      std::ostringstream os;
-      os << path << ':' << line_no << ": " << line_error;
-      *error = os.str();
-      return false;
-    }
-    out->push_back(std::move(e));
-  }
-  return true;
 }
 
 }  // namespace dard::scope

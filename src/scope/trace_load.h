@@ -1,15 +1,14 @@
-// JSONL trace loader: the read side of obs::to_json (DESIGN.md §12).
+// JSONL trace decoder: the read side of obs::to_json (DESIGN.md §12).
 //
-// Parses dardsim trace files back into obs::TraceEvent records so the
-// analysis passes work on the same flat struct the simulators emit. The
-// loader is strict about the schema version — a line whose "v" differs from
-// obs::kTraceSchemaVersion is refused with a clear error rather than
+// Decodes one dardsim trace line at a time into the obs::TraceEvent the
+// simulators emit, for the streaming analyses (load_run, `dardscope live`).
+// The decoder is strict about the schema version — a line whose "v" is
+// outside the readable window is refused with a clear error rather than
 // silently misread (v1 traces, for example, predate cause ids).
 #pragma once
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "obs/observer.h"
 
@@ -31,11 +30,5 @@ namespace dard::scope {
 // value, unknown kinds and mismatched versions are errors.
 [[nodiscard]] bool parse_trace_line(const std::string& line,
                                     obs::TraceEvent* out, std::string* error);
-
-// Loads a whole trace file, skipping blank lines. On failure *error names
-// the offending line number.
-[[nodiscard]] bool load_trace_file(const std::string& path,
-                                   std::vector<obs::TraceEvent>* out,
-                                   std::string* error);
 
 }  // namespace dard::scope

@@ -55,6 +55,14 @@ std::string validate_fat_tree(const FatTreeParams& params) {
         << "] (got " << params.uplinks_per_agg << ")";
     return err.str();
   }
+  // Uplink ordinal u takes entry u, so entries past the last uplink would
+  // be dropped without a word (a speed skew on a fabric too thin for it).
+  if (params.core_capacities.size() > static_cast<std::size_t>(uplinks)) {
+    err << "fat-tree core_capacities has " << params.core_capacities.size()
+        << " entries but uplinks_per_agg is " << uplinks
+        << ", so the extra entries would never be used";
+    return err.str();
+  }
   if (params.stripped_pods < 0 || params.stripped_pods >= params.p) {
     err << "fat-tree stripped_pods must be in [0, p) = [0, " << params.p
         << ") so every core keeps an unstripped pod (got "
@@ -235,6 +243,13 @@ std::string validate_leaf_spine(const LeafSpineParams& params) {
       err << "leaf-spine spine_capacities entries must all be positive";
       return err.str();
     }
+  if (params.spine_capacities.size() >
+      static_cast<std::size_t>(params.spines)) {
+    err << "leaf-spine spine_capacities has " << params.spine_capacities.size()
+        << " entries but spines is " << params.spines
+        << ", so the extra entries would never be used";
+    return err.str();
+  }
   if (params.stripped_leaves < 0 || params.stripped_leaves > params.leaves) {
     err << "leaf-spine stripped_leaves must be in [0, leaves] = [0, "
         << params.leaves << "] (got " << params.stripped_leaves << ")";

@@ -1,30 +1,79 @@
-// Allocation guard for the packet hop: once a PacketNetwork and its
+// Allocation guards. The packet hop: once a PacketNetwork and its
 // EventQueue have carried one burst, a second burst of data packets and
-// ACKs along 6-hop routes allocates nothing. This binary replaces the
-// global operator new with a counting one, which is why it stands alone.
+// ACKs along 6-hop routes allocates nothing. dardscope's load: reading and
+// reporting a large run dir stays within a fixed heap budget, because the
+// trace is digested as it is read. This binary replaces the global operator
+// new with a counting one, which is why it stands alone.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "flowsim/event_queue.h"
+#include "harness/manifest.h"
+#include "obs/trace.h"
 #include "pktsim/network.h"
+#include "scope/report.h"
+#include "scope/run_loader.h"
+#include "scope/trace_load.h"
 #include "topology/builders.h"
 #include "topology/path_gen.h"
 
 namespace {
 std::size_t g_allocations = 0;
+// Bytes requested and not yet freed, and the most there ever were; each
+// block carries its size in a header in front of it.
+std::size_t g_live_bytes = 0;
+std::size_t g_peak_bytes = 0;
+constexpr std::size_t kHeader = alignof(std::max_align_t);
 }  // namespace
 
-void* operator new(std::size_t n) {
+// Not inlined: inlined into a caller, the header arithmetic reads to the
+// compiler as an access before the block the caller sees.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   ++g_allocations;
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
+  void* p = std::malloc(n + kHeader);
+  if (p == nullptr) throw std::bad_alloc();
+  *static_cast<std::size_t*>(p) = n;
+  g_live_bytes += n;
+  g_peak_bytes = std::max(g_peak_bytes, g_live_bytes);
+  return static_cast<char*>(p) + kHeader;
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept {
+  if (p == nullptr) return;
+  char* const block = static_cast<char*>(p) - kHeader;
+  g_live_bytes -= *reinterpret_cast<std::size_t*>(block);
+  std::free(block);
+}
+// Every other unaligned form goes through the pair above, so no block
+// crosses to another allocator's delete (a sanitizer runtime supplies the
+// forms a program does not replace).
+void* operator new[](std::size_t n) { return operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return operator new(n);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
+  return operator new(n, tag);
+}
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
+void operator delete[](void* p) noexcept { operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { operator delete(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  operator delete(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  operator delete(p);
+}
 
 namespace dard::pktsim {
 namespace {
@@ -33,6 +82,19 @@ TEST(AllocationGuard, CountsAllocations) {
   const std::size_t before = g_allocations;
   std::vector<int> v(4);
   EXPECT_EQ(g_allocations - before, 1u);
+}
+
+TEST(AllocationGuard, TracksPeakLiveBytes) {
+  const std::size_t live = g_live_bytes;
+  g_peak_bytes = live;
+  {
+    std::vector<char> a(1000);
+    std::vector<char> b(3000);
+    EXPECT_EQ(g_live_bytes - live, 4000u);
+  }
+  std::vector<char> c(500);
+  EXPECT_EQ(g_live_bytes - live, 500u);
+  EXPECT_EQ(g_peak_bytes - live, 4000u);
 }
 
 // Every host sends kWindow data packets to the host half the fabric away
@@ -116,3 +178,164 @@ TEST_F(PacketHopAllocations, WarmBurstAllocatesNothing) {
 
 }  // namespace
 }  // namespace dard::pktsim
+
+namespace dard::scope {
+namespace {
+
+using obs::SpanKind;
+using obs::TraceEvent;
+using obs::TraceEventKind;
+
+std::vector<std::string> data_lines(const char* name) {
+  std::ifstream in(std::string(DARD_TEST_DATA_DIR) + "/" + name);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);)
+    if (!line.empty()) lines.push_back(line);
+  return lines;
+}
+
+// The first corpus event that `pick` accepts.
+template <class Pick>
+TraceEvent corpus_event(const std::vector<TraceEvent>& corpus, Pick pick) {
+  const auto it = std::find_if(corpus.begin(), corpus.end(), pick);
+  EXPECT_NE(it, corpus.end());
+  return it != corpus.end() ? *it : TraceEvent{};
+}
+
+// A run dir shaped like a `dardsim --run-dir --spans` k=8 window, built from
+// the tests/data corpus: kChains DARD chains (an accepted round, a refresh
+// with kQueries query spans, a decision, the flow move and its move span;
+// 12 span lines each) over a flow per 4 chains, and kPeriods periods of the
+// corpus's link-sample rows.
+constexpr std::size_t kChains = 17'000;
+constexpr std::size_t kQueries = 9;
+constexpr std::size_t kPeriods = 8'400;
+
+std::filesystem::path write_scope_run_dir(std::size_t* trace_lines,
+                                          std::size_t* sample_rows) {
+  std::vector<TraceEvent> corpus;
+  for (const std::string& line : data_lines("trace_corpus.jsonl")) {
+    TraceEvent e;
+    std::string error;
+    EXPECT_TRUE(parse_trace_line(line, &e, &error)) << error;
+    corpus.push_back(e);
+  }
+  const auto of_kind = [&](TraceEventKind kind) {
+    return corpus_event(corpus,
+                        [kind](const TraceEvent& e) { return e.kind == kind; });
+  };
+  const auto of_span = [&](SpanKind kind) {
+    return corpus_event(corpus, [kind](const TraceEvent& e) {
+      return e.kind == TraceEventKind::Span && e.span_kind == kind;
+    });
+  };
+  TraceEvent arrive = of_kind(TraceEventKind::FlowArrive);
+  TraceEvent elephant = of_kind(TraceEventKind::FlowElephant);
+  TraceEvent move = of_kind(TraceEventKind::FlowMove);
+  TraceEvent complete = of_kind(TraceEventKind::FlowComplete);
+  TraceEvent round = corpus_event(corpus, [](const TraceEvent& e) {
+    return e.kind == TraceEventKind::DardRound && e.accepted;
+  });
+  TraceEvent refresh = of_span(SpanKind::Refresh);
+  TraceEvent query = of_span(SpanKind::Query);
+  TraceEvent decision = of_span(SpanKind::Decision);
+  TraceEvent move_span = of_span(SpanKind::Move);
+
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "alloc_guard_scope_run";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::ofstream trace(dir / harness::kTraceFile);
+  std::string line;
+  *trace_lines = 0;
+  const auto emit = [&](const TraceEvent& e, double t) {
+    TraceEvent copy = e;
+    copy.time = t;
+    line.clear();
+    obs::append_json(line, copy);
+    trace << line << '\n';
+    ++*trace_lines;
+  };
+  std::uint64_t next_id = 0;
+  for (std::size_t i = 0; i < kChains; ++i) {
+    const double t = 1.0 + 0.001 * static_cast<double>(i);
+    const FlowId flow(static_cast<FlowId::value_type>(i / 4));
+    const NodeId host(static_cast<NodeId::value_type>(i % 128));
+    if (i % 4 == 0) {
+      arrive.flow = elephant.flow = flow;
+      emit(arrive, t);
+      emit(elephant, t);
+    }
+    round.src_host = refresh.src_host = query.src_host = decision.src_host =
+        move_span.src_host = host;
+    round.cause_id = ++next_id;
+    emit(round, t);
+    refresh.cause_id = ++next_id;
+    emit(refresh, t);
+    query.parent_id = decision.parent_id = refresh.cause_id;
+    for (std::size_t q = 0; q < kQueries; ++q) {
+      query.cause_id = ++next_id;
+      emit(query, t);
+    }
+    decision.cause_id = ++next_id;
+    emit(decision, t);
+    move.flow = move_span.flow = flow;
+    move.cause_id = move_span.parent_id = round.cause_id;
+    emit(move, t);
+    move_span.cause_id = ++next_id;
+    emit(move_span, t);
+    if (i % 4 == 3) {
+      complete.flow = flow;
+      emit(complete, t);
+    }
+  }
+
+  const std::vector<std::string> rows = data_lines("link_samples.csv");
+  std::ofstream samples(dir / harness::kLinkSamplesFile);
+  samples << rows.front() << '\n';
+  *sample_rows = 0;
+  for (std::size_t period = 0; period < kPeriods; ++period)
+    for (std::size_t r = 1; r < rows.size(); ++r) {
+      // The corpus rows with this period's time in front.
+      samples << 0.5 * static_cast<double>(period)
+              << rows[r].substr(rows[r].find(',')) << '\n';
+      ++*sample_rows;
+    }
+  return dir;
+}
+
+// The heap the load and both reports may hold at their peak. Holding the
+// events as std::vector<obs::TraceEvent> and the rows as LinkSamples, as
+// the load once did, takes several times this for this run dir.
+constexpr std::size_t kScopeHeapBudget = 8 << 20;
+
+TEST(ScopeHeapBudget, LoadingAndReportingALargeRunDirHoldsNoEvents) {
+  std::size_t trace_lines = 0;
+  std::size_t sample_rows = 0;
+  const std::filesystem::path dir =
+      write_scope_run_dir(&trace_lines, &sample_rows);
+  ASSERT_GE(kChains * (kQueries + 3), 200'000u);
+  ASSERT_GE(sample_rows, 100'000u);
+
+  const std::size_t live = g_live_bytes;
+  g_peak_bytes = live;
+  {
+    RunData run;
+    std::string error;
+    ASSERT_TRUE(load_run(dir.string(), &run, &error)) << error;
+    const Report report = build_report(run);
+    const SpansReport spans = build_spans_report(run);
+    EXPECT_EQ(report.trace_events, trace_lines);
+    EXPECT_EQ(report.causes.moves, kChains);
+    EXPECT_TRUE(report.causes.clean());
+    EXPECT_EQ(spans.audit.spans, kChains * (kQueries + 3));
+    EXPECT_TRUE(spans.audit.clean());
+    EXPECT_EQ(report.utilization.samples, sample_rows);
+  }
+  const std::size_t peak = g_peak_bytes - live;
+  EXPECT_LT(peak, kScopeHeapBudget) << "peak live heap " << peak << " bytes";
+  std::filesystem::remove_all(dir);
+}
+
+}  // namespace
+}  // namespace dard::scope

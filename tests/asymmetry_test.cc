@@ -269,11 +269,24 @@ TEST(Asymmetry, ValidationReportsReasonsInsteadOfCrashing) {
   FatTreeParams bad_mix{.p = 4};
   bad_mix.core_capacities = {1 * kGbps, -1.0};
   EXPECT_NE(validate_fat_tree(bad_mix), "");
+  // More core capacities than uplinks (dardsim --size=4 --oversub=2
+  // --speed-skew=2): the fast column would never be cabled.
+  FatTreeParams dropped_skew{.p = 4};
+  dropped_skew.uplinks_per_agg = 1;
+  dropped_skew.core_capacities = {1 * kGbps, 2 * kGbps};
+  EXPECT_NE(validate_fat_tree(dropped_skew), "");
+  dropped_skew.uplinks_per_agg = 2;
+  EXPECT_EQ(validate_fat_tree(dropped_skew), "");
   EXPECT_EQ(validate_fat_tree({.p = 4}), "");
   EXPECT_EQ(validate_fat_tree(mixed_tier_params()), "");
 
   EXPECT_NE(validate_leaf_spine({.leaves = 1}), "");
   EXPECT_NE(validate_leaf_spine({.leaves = 4, .spines = 0}), "");
+  LeafSpineParams extra_spines{.leaves = 4, .spines = 2};
+  extra_spines.spine_capacities = {4 * kGbps, 10 * kGbps, 40 * kGbps};
+  EXPECT_NE(validate_leaf_spine(extra_spines), "");
+  extra_spines.spines = 3;
+  EXPECT_EQ(validate_leaf_spine(extra_spines), "");
   EXPECT_EQ(validate_leaf_spine({}), "");
   EXPECT_EQ(validate_leaf_spine(stripped_leaf_spine_params()), "");
 }

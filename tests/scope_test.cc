@@ -17,6 +17,7 @@
 #include "scope/analysis.h"
 #include "scope/report.h"
 #include "scope/run_loader.h"
+#include "scope/streaming.h"
 #include "scope/trace_load.h"
 #include "topology/builders.h"
 
@@ -74,6 +75,13 @@ std::vector<TraceEvent> traced_run(const ExperimentConfig& base,
   return events;
 }
 
+// Feeds `events` to a RunData one at a time, as load_run does per line.
+RunData digest(const std::vector<TraceEvent>& events, std::size_t window = 4) {
+  RunData run(window);
+  for (const TraceEvent& e : events) run.add_event(e);
+  return run;
+}
+
 // ------------------------------------------------------- causal contract
 
 TEST(CausalChain, EveryMoveResolvesToAPriorAcceptedRound) {
@@ -81,7 +89,7 @@ TEST(CausalChain, EveryMoveResolvesToAPriorAcceptedRound) {
   const auto events = traced_run(traced_config(), &result);
   ASSERT_GT(result.reroutes, 0u) << "run must make moves to test the chain";
 
-  const CauseAudit audit = audit_causes(events);
+  const CauseAudit audit = digest(events).analysis.causes();
   EXPECT_EQ(audit.moves, result.reroutes);
   EXPECT_EQ(audit.attributed, audit.moves)
       << "every DARD move must carry a cause id";
@@ -130,8 +138,7 @@ TEST(CausalChain, RoundIdsAreUniqueAndMonotonic) {
 TEST(Report, MoveCountMatchesDardCounter) {
   obs::MetricsRegistry metrics;
   harness::ExperimentResult result;
-  RunData run;
-  run.trace = traced_run(traced_config(), &result, &metrics);
+  RunData run = digest(traced_run(traced_config(), &result, &metrics));
   MetricRow row;
   row.kind = "counter";
   row.value = static_cast<double>(metrics.counter("dard.moves_accepted").value);
@@ -202,7 +209,7 @@ TEST(Convergence, DetectsOscillationWithinWindow) {
       move_event(3, 1, 1, 0), move_event(4, 2, 1, 2),
       move_event(5, 1, 0, 1), move_event(6, 2, 2, 3),
   };
-  const Convergence c = analyze_convergence(trace, /*window=*/4);
+  const Convergence c = digest(trace, /*window=*/4).analysis.convergence();
   EXPECT_EQ(c.moves, 6u);
   EXPECT_EQ(c.oscillations, 2u);
   ASSERT_EQ(c.oscillating_flows.size(), 1u);
@@ -216,14 +223,14 @@ TEST(Convergence, OldMovesAgeOutOfTheWindow) {
       move_event(1, 1, 0, 1),
       move_event(2, 1, 1, 0),
   };
-  EXPECT_EQ(analyze_convergence(pingpong, 1).oscillations, 1u);
+  EXPECT_EQ(digest(pingpong, 1).analysis.convergence().oscillations, 1u);
   std::vector<TraceEvent> cycle = {
       move_event(1, 1, 0, 1),
       move_event(2, 1, 1, 2),
       move_event(3, 1, 2, 0),
   };
-  EXPECT_EQ(analyze_convergence(cycle, 1).oscillations, 0u);
-  EXPECT_EQ(analyze_convergence(cycle, 2).oscillations, 1u);
+  EXPECT_EQ(digest(cycle, 1).analysis.convergence().oscillations, 0u);
+  EXPECT_EQ(digest(cycle, 2).analysis.convergence().oscillations, 1u);
 }
 
 TEST(Convergence, QuiescenceCountsWorkUpToTheLastMove) {
@@ -245,7 +252,7 @@ TEST(Convergence, QuiescenceCountsWorkUpToTheLastMove) {
   complete.flow = FlowId(7);
 
   const Convergence c =
-      analyze_convergence({round1, move, round2, complete}, 4);
+      digest({round1, move, round2, complete}, 4).analysis.convergence();
   EXPECT_EQ(c.evaluations, 2u);
   EXPECT_EQ(c.scheduling_instants, 2u);
   EXPECT_EQ(c.rounds_to_quiescence, 1u)
@@ -279,10 +286,9 @@ TEST(Timelines, ReassembleLifecycleAndCauses) {
   complete.time = 4.0;
   complete.flow = FlowId(4);
 
-  const auto timelines =
-      build_timelines({arrive, elephant, round, move, complete});
-  ASSERT_EQ(timelines.size(), 1u);
-  const FlowTimeline& t = timelines[0];
+  const RunData run = digest({arrive, elephant, round, move, complete});
+  ASSERT_EQ(run.timelines.size(), 1u);
+  const FlowTimeline& t = run.timelines.begin()->second;
   EXPECT_EQ(t.flow, 4u);
   EXPECT_DOUBLE_EQ(t.arrive_time, 0.5);
   EXPECT_DOUBLE_EQ(t.elephant_time, 1.5);
@@ -294,10 +300,10 @@ TEST(Timelines, ReassembleLifecycleAndCauses) {
   EXPECT_EQ(t.moves[0].cause_event, 2) << "resolves to the round's index";
 
   // A move citing a round that never streamed by stays dangling.
-  const auto broken = build_timelines({arrive, move, complete});
-  ASSERT_EQ(broken.size(), 1u);
-  EXPECT_EQ(broken[0].moves[0].cause_event, -1);
-  EXPECT_EQ(audit_causes({arrive, move, complete}).dangling, 1u);
+  const RunData broken = digest({arrive, move, complete});
+  ASSERT_EQ(broken.timelines.size(), 1u);
+  EXPECT_EQ(broken.timelines.begin()->second.moves[0].cause_event, -1);
+  EXPECT_EQ(broken.analysis.causes().dangling, 1u);
 }
 
 // ---------------------------------------------------- manifest round trip
@@ -380,10 +386,13 @@ TEST(RunLoader, LoadsADirectoryAndRejectsNewerManifests) {
   EXPECT_TRUE(run.is_directory);
   ASSERT_NE(run.manifest, nullptr);
   EXPECT_EQ(run.manifest_string("scheduler"), "DARD");
-  ASSERT_EQ(run.trace.size(), 2u);
-  EXPECT_EQ(run.trace[0].kind, TraceEventKind::FlowArrive);
+  ASSERT_EQ(run.analysis.totals().trace_events, 2u);
+  // The first line decoded as the flow's arrival.
+  ASSERT_EQ(run.timelines.count(0), 1u);
+  EXPECT_DOUBLE_EQ(run.timelines.at(0).arrive_time, 0.5);
   EXPECT_DOUBLE_EQ(run.metric_value("dard.moves_accepted"), 3);
-  EXPECT_TRUE(run.link_samples.empty()) << "absent artifacts stay empty";
+  EXPECT_FALSE(run.analysis.utilization().recorded)
+      << "absent artifacts stay empty";
 
   // A manifest from a future dardsim is refused, not misread.
   {
@@ -411,10 +420,11 @@ TEST(RunLoader, LoadsABareTraceFile) {
   ASSERT_TRUE(load_run(path, &run, &error)) << error;
   EXPECT_FALSE(run.is_directory);
   EXPECT_EQ(run.manifest, nullptr);
-  ASSERT_EQ(run.trace.size(), 1u);
+  ASSERT_EQ(run.analysis.totals().trace_events, 1u);
   const Report report = build_report(run);
   EXPECT_EQ(report.scheduler, "") << "bare traces have no scenario line";
-  EXPECT_EQ(report.timelines.size(), 1u);
+  EXPECT_EQ(run.timelines.size(), 1u);
+  EXPECT_EQ(report.churn.flows, 1u);
   std::remove(path.c_str());
 }
 
@@ -432,8 +442,8 @@ TEST(Diff, ComputesDeltasAndPerFlowRegressions) {
       complete.kind = TraceEventKind::FlowComplete;
       complete.time = f == 0 ? t0 : t1;
       complete.flow = FlowId(f);
-      run.trace.push_back(arrive);
-      run.trace.push_back(complete);
+      run.add_event(arrive);
+      run.add_event(complete);
     }
     return run;
   };
@@ -472,8 +482,8 @@ TEST(Diff, ReportsFlowsCompletedInOnlyOneRun) {
       complete.kind = TraceEventKind::FlowComplete;
       complete.time = 1.0;
       complete.flow = FlowId(f);
-      run.trace.push_back(arrive);
-      run.trace.push_back(complete);
+      run.add_event(arrive);
+      run.add_event(complete);
     }
     return run;
   };

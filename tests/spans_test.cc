@@ -21,6 +21,7 @@
 #include "scope/analysis.h"
 #include "scope/streaming.h"
 #include "scope/trace_load.h"
+#include "scope_reference.h"
 #include "topology/builders.h"
 
 namespace dard {
@@ -102,7 +103,9 @@ TEST(SpanTest, RecorderEmitsAuditCleanSpans) {
   const SpannedRun run = run_with_spans(Substrate::Fluid);
   ASSERT_GT(run.result.reroutes, 0u);
 
-  const scope::SpanAudit audit = scope::audit_spans(run.trace);
+  scope::StreamingAnalyzer analyzer;
+  for (const obs::TraceEvent& e : run.trace) analyzer.on_event(e);
+  const scope::SpanAudit& audit = analyzer.spans();
   EXPECT_GT(audit.spans, 0u);
   EXPECT_GT(audit.refresh_spans, 0u);
   EXPECT_GT(audit.query_spans, 0u);
@@ -162,7 +165,7 @@ TEST(SpanTest, StreamingSpanAuditMatchesOffline) {
   const SpannedRun run = run_with_spans(Substrate::Fluid);
   scope::StreamingAnalyzer analyzer(4);
   for (const obs::TraceEvent& e : run.trace) analyzer.on_event(e);
-  const scope::SpanAudit offline = scope::audit_spans(run.trace);
+  const scope::SpanAudit offline = scope::reference::audit_spans(run.trace);
   const scope::SpanAudit& streamed = analyzer.spans();
   EXPECT_EQ(streamed.spans, offline.spans);
   EXPECT_EQ(streamed.query_spans, offline.query_spans);

@@ -1,7 +1,8 @@
-// StreamingAnalyzer and `dardscope live`: the bounded-memory incremental
-// analyses must agree with the offline report — field by field, at every
-// prefix of the stream, on a fault-laden trace with snapshots — plus the
-// LineTailer's partial-line buffering and the live driver end to end.
+// StreamingAnalyzer and `dardscope live`: the incremental analyses must
+// agree with the whole-trace passes they replaced (tests/scope_reference.h)
+// — field by field, at every prefix of the stream, on a fault-laden trace
+// with snapshots — plus the LineTailer's partial-line buffering and the live
+// driver end to end.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -20,6 +21,7 @@
 #include "scope/report.h"
 #include "scope/streaming.h"
 #include "scope/trace_load.h"
+#include "scope_reference.h"
 #include "topology/builders.h"
 
 namespace dard::scope {
@@ -87,14 +89,14 @@ std::vector<TraceEvent> parse_all(const std::string& jsonl) {
 void expect_equal(const StreamingAnalyzer& a,
                   const std::vector<TraceEvent>& trace, std::size_t window,
                   const std::string& where) {
-  const CauseAudit oc = audit_causes(trace);
+  const CauseAudit oc = reference::audit_causes(trace);
   const CauseAudit& sc = a.causes();
   EXPECT_EQ(sc.moves, oc.moves) << where;
   EXPECT_EQ(sc.attributed, oc.attributed) << where;
   EXPECT_EQ(sc.resolved, oc.resolved) << where;
   EXPECT_EQ(sc.dangling, oc.dangling) << where;
 
-  const Convergence ov = analyze_convergence(trace, window);
+  const Convergence ov = reference::analyze_convergence(trace, window);
   const Convergence sv = a.convergence();
   EXPECT_EQ(sv.evaluations, ov.evaluations) << where;
   EXPECT_EQ(sv.scheduling_instants, ov.scheduling_instants) << where;
@@ -106,7 +108,8 @@ void expect_equal(const StreamingAnalyzer& a,
   EXPECT_EQ(sv.oscillations, ov.oscillations) << where;
   EXPECT_EQ(sv.oscillating_flows, ov.oscillating_flows) << where;
 
-  const ChurnSummary oh = summarize_churn(build_timelines(trace));
+  const ChurnSummary oh =
+      reference::summarize_churn(reference::build_timelines(trace));
   const ChurnSummary sh = a.churn();
   EXPECT_EQ(sh.flows, oh.flows) << where;
   EXPECT_EQ(sh.elephants, oh.elephants) << where;
@@ -144,7 +147,7 @@ TEST(Streaming, MatchesOfflineAtEveryPrefixOfAFaultLadenTrace) {
   EXPECT_EQ(t.trace_events, n);
   EXPECT_GT(t.fault_events, 0u);
   EXPECT_GT(t.snapshot_events, 0u);
-  EXPECT_EQ(t.flows_seen, build_timelines(events).size());
+  EXPECT_EQ(t.flows_seen, reference::build_timelines(events).size());
   EXPECT_EQ(t.flows_seen, t.live_flows + t.completed_flows);
   ASSERT_NE(a.last_snapshot(), nullptr);
   EXPECT_GT(a.last_snapshot()->seq, 0u);
@@ -168,7 +171,7 @@ TEST(Streaming, UtilizationMatchesOffline) {
 
   StreamingAnalyzer a;
   for (const LinkSample& s : samples) a.on_link_sample(s);
-  const UtilizationSummary offline = summarize_utilization(samples);
+  const UtilizationSummary offline = reference::summarize_utilization(samples);
   const UtilizationSummary live = a.utilization();
   EXPECT_EQ(live.recorded, offline.recorded);
   EXPECT_EQ(live.links, offline.links);
@@ -307,7 +310,7 @@ TEST(Live, OncePassOverAFinishedRunDirMatchesTheOfflineReport) {
   std::string last;
   while (std::getline(summary, line))
     if (!line.empty()) last = line;
-  const Convergence conv = analyze_convergence(events, opt.window);
+  const Convergence conv = reference::analyze_convergence(events, opt.window);
   EXPECT_NE(last.find("\"finished\":true"), std::string::npos) << last;
   EXPECT_NE(last.find("\"moves\":" + std::to_string(conv.moves)),
             std::string::npos)
