@@ -11,7 +11,8 @@ per digest:
   packet k=4: DARD under the chaos fault plan, WCMP on an oversubscribed
     fabric and WCMP over mixed link speeds      md5 of --csv stdout
   run dirs (--run-dir --spans): fluid DARD at k=4 and k=8, the chaos
-    preset, Hedera at k=8 and packet DARD at k=4   md5 of each artifact
+    preset with 8 MiB and with 128 MiB flows, Hedera at k=8 and packet DARD
+    at k=4 with 16 MiB and with 32 MiB flows   md5 of each artifact
     below, and of the text and --md output of `dardscope report` and
     `dardscope spans`, of `report --window=2`, and of `dardscope flow` for
     the report's most-moved flow
@@ -66,6 +67,10 @@ PACKET_EXTRA_CELLS = [
 
 # The packet run-dir cell needs flows that become elephants (16 MiB flows
 # give 130 trace lines at seed 7); with 4 MiB flows its trace is empty.
+# Neither that cell nor the 8 MiB chaos cell moves a flow, so each has an
+# -elephants twin whose flows DARD moves (seed 7: 21 moves over 15 flows
+# under chaos, 1 move on the packet substrate); the chaos twin is the cell
+# whose max-min solves see capacity changes while flows move.
 RUN_DIR_CELLS = [
     ("rundir/fluid/k4/dard",
      ["--substrate=fluid", "--size=4", "--scheduler=dard"] + FLUID_ARGS),
@@ -75,10 +80,17 @@ RUN_DIR_CELLS = [
      ["--substrate=fluid", "--size=4", "--scheduler=dard", "--flow-mb=8",
       "--rate=0.5", "--duration=8", "--query-interval=0.1",
       "--schedule-interval=0.1", "--faults=chaos"]),
+    ("rundir/fluid/k4/chaos-elephants",
+     ["--substrate=fluid", "--size=4", "--scheduler=dard", "--flow-mb=128",
+      "--rate=0.5", "--duration=8", "--query-interval=0.1",
+      "--schedule-interval=0.1", "--faults=chaos"]),
     ("rundir/fluid/k8/hedera",
      ["--substrate=fluid", "--size=8", "--scheduler=hedera"] + FLUID_ARGS),
     ("rundir/packet/k4/dard",
      ["--substrate=packet", "--size=4", "--scheduler=dard", "--flow-mb=16",
+      "--rate=0.5", "--duration=2"]),
+    ("rundir/packet/k4/dard-elephants",
+     ["--substrate=packet", "--size=4", "--scheduler=dard", "--flow-mb=32",
       "--rate=0.5", "--duration=2"]),
 ]
 RUN_DIR_FILES = ["trace.jsonl", "link_samples.csv", "agg_samples.csv",

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "fabric/wire.h"
+#include "faults/injector.h"
 #include "harness/experiment.h"
 #include "harness/manifest.h"
 #include "obs/spans.h"
@@ -623,7 +624,8 @@ int main(int argc, char** argv) {
     if (!opt.faults.empty()) {
       std::string err;
       auto plan = faults::FaultPlan::load(opt.faults, &err);
-      if (!plan) {
+      if (plan) err = faults::check_plan(*plan, network);
+      if (!plan || !err.empty()) {
         std::fprintf(stderr, "invalid --faults: %s\n", err.c_str());
         return 2;
       }

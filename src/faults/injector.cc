@@ -4,50 +4,90 @@
 
 namespace dard::faults {
 
+namespace {
+
+const topo::Node* find_node(const topo::Topology& t, const std::string& name) {
+  for (const topo::Node& n : t.nodes())
+    if (n.name == name) return &n;
+  return nullptr;
+}
+
+std::string missing(const std::string& name) {
+  return "unknown topology node '" + name + "'";
+}
+
+// "" when `name` is a host with at least one cable, else why not.
+std::string check_host(const topo::Topology& t, const std::string& name,
+                       const char* what) {
+  const topo::Node* n = find_node(t, name);
+  if (n == nullptr) return std::string(what) + ": " + missing(name);
+  if (n->kind != topo::NodeKind::Host)
+    return std::string(what) + " targets '" + name + "', a non-host node";
+  if (t.out_links(n->id).empty()) return "host '" + name + "' has no cables";
+  return {};
+}
+
+}  // namespace
+
+std::string check_plan(const FaultPlan& plan, const topo::Topology& t) {
+  for (const LinkEvent& e : plan.link_events()) {
+    const std::string cable = e.a + "-" + e.b;
+    const topo::Node* a = find_node(t, e.a);
+    const topo::Node* b = find_node(t, e.b);
+    if (a == nullptr || b == nullptr)
+      return "cable " + cable + ": " + missing(a == nullptr ? e.a : e.b);
+    if (!t.find_link(a->id, b->id).valid())
+      return "no cable " + cable + " in the fabric";
+  }
+  for (const SwitchEvent& e : plan.switch_events()) {
+    const topo::Node* n = find_node(t, e.node);
+    if (n == nullptr) return "switch fault: " + missing(e.node);
+    if (n->kind == topo::NodeKind::Host)
+      return "switch fault targets host '" + e.node + "'";
+    if (t.out_links(n->id).empty())
+      return "switch '" + e.node + "' has no cables";
+  }
+  for (const AgentEvent& e : plan.agent_events())
+    if (auto err = check_host(t, e.host, "agent fault"); !err.empty())
+      return err;
+  for (const HostEvent& e : plan.host_events())
+    if (auto err = check_host(t, e.host, "host fault"); !err.empty())
+      return err;
+  return {};
+}
+
 FaultInjector::FaultInjector(fabric::DataPlane& net, const FaultPlan& plan,
                              std::uint64_t seed)
     : net_(&net), model_(seed) {
-  for (const LinkEvent& e : plan.link_events()) {
-    const NodeId a = resolve(e.a);
-    const NodeId b = resolve(e.b);
-    DCN_CHECK_MSG(net_->topology().find_link(a, b).valid(),
-                  "fault plan names a cable the topology does not have");
-    link_events_.push_back(ResolvedLinkEvent{e.time, a, b, e.fail});
-  }
+  const std::string error = check_plan(plan, net_->topology());
+  DCN_CHECK_MSG(error.empty(), error.c_str());
+  for (const LinkEvent& e : plan.link_events())
+    link_events_.push_back(
+        ResolvedLinkEvent{e.time, resolve(e.a), resolve(e.b), e.fail});
   for (const SwitchEvent& e : plan.switch_events()) {
     const NodeId sw = resolve(e.node);
-    DCN_CHECK_MSG(net_->topology().node(sw).kind != topo::NodeKind::Host,
-                  "switch fault targets a host");
     ResolvedSwitchEvent r{e.time, sw, {}, e.fail};
     for (const LinkId l : net_->topology().out_links(sw))
       r.neighbors.push_back(net_->topology().link(l).dst);
-    DCN_CHECK_MSG(!r.neighbors.empty(), "switch with no attached cables");
     switch_events_.push_back(std::move(r));
   }
   windows_ = plan.control_windows();
-  for (const AgentEvent& e : plan.agent_events()) {
-    const NodeId host = resolve(e.host);
-    DCN_CHECK_MSG(net_->topology().node(host).kind == topo::NodeKind::Host,
-                  "agent fault targets a non-host node");
-    agent_events_.push_back(ResolvedAgentEvent{e.time, host, e.restart_after});
-  }
+  for (const AgentEvent& e : plan.agent_events())
+    agent_events_.push_back(
+        ResolvedAgentEvent{e.time, resolve(e.host), e.restart_after});
   for (const HostEvent& e : plan.host_events()) {
     const NodeId host = resolve(e.host);
-    DCN_CHECK_MSG(net_->topology().node(host).kind == topo::NodeKind::Host,
-                  "host fault targets a non-host node");
     ResolvedHostEvent r{e.time, host, {}, e.fail};
     for (const LinkId l : net_->topology().out_links(host))
       r.tors.push_back(net_->topology().link(l).dst);
-    DCN_CHECK_MSG(!r.tors.empty(), "host with no attached cables");
     host_events_.push_back(std::move(r));
   }
 }
 
 NodeId FaultInjector::resolve(const std::string& name) const {
-  for (const topo::Node& n : net_->topology().nodes())
-    if (n.name == name) return n.id;
-  DCN_CHECK_MSG(false, "fault plan names an unknown topology node");
-  return NodeId{};
+  const topo::Node* n = find_node(net_->topology(), name);
+  DCN_CHECK_MSG(n != nullptr, "fault plan names an unknown topology node");
+  return n->id;
 }
 
 FaultInjector::CableKey FaultInjector::key(NodeId a, NodeId b) {

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -29,10 +30,18 @@
 
 namespace dard::faults {
 
+// Checks every node and cable `plan` names against `t`. Returns "" when the
+// injector can run the plan, else a message naming the first node or cable
+// the fabric lacks, or the node an event cannot target (a switch fault on
+// a host, an agent or host fault on a switch).
+[[nodiscard]] std::string check_plan(const FaultPlan& plan,
+                                     const topo::Topology& t);
+
 class FaultInjector {
  public:
-  // Resolves every node name in `plan` against net's topology (aborts on an
-  // unknown name: a plan that silently does nothing is worse than a crash).
+  // Resolves every node name in `plan` against net's topology (aborts with
+  // check_plan()'s message on a plan it rejects: a plan that silently does
+  // nothing is worse than a crash).
   // `seed` feeds the control-plane model's private RNG only — fault noise
   // never perturbs scheduler or workload RNG streams.
   FaultInjector(fabric::DataPlane& net, const FaultPlan& plan,

@@ -1,11 +1,21 @@
 #include "flowsim/max_min.h"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
 
 #include "common/check.h"
 
 namespace dard::flowsim {
+
+namespace {
+// A link counts as saturated when its load is within this fraction of its
+// capacity: load sums round, and the validate bound is 1e-9 per rate.
+constexpr double kSaturatedTolerance = 1e-10;
+// Shares and rates this close (relative) are ties: the kernel freezes a
+// link whose share is within it of the smallest, and the certificate lets
+// a flow's rate fall this far short of the top rate on its link.
+constexpr double kTieTolerance = 1e-12;
+}  // namespace
 
 MaxMinAllocator::MaxMinAllocator(const topo::Topology& t,
                                  const fabric::LinkStateBoard* board)
@@ -68,6 +78,7 @@ void MaxMinAllocator::ensure_fid(std::uint32_t fid) {
   dirty_flow_mark_.resize(n, 0);
   flow_visit_.resize(n, 0);
   frozen_mark_.resize(n, 0);
+  freeze_link_.resize(n, 0);
 }
 
 void MaxMinAllocator::mark_dirty_flow(std::uint32_t fid) {
@@ -116,6 +127,86 @@ void MaxMinAllocator::remove_flow(std::uint32_t fid) {
 
 void MaxMinAllocator::touch_link(LinkId l) {
   mark_dirty_link(l.value());
+  cap_links_.push_back(l.value());
+}
+
+void MaxMinAllocator::add_to_region(std::uint32_t fid) {
+  if (flow_visit_[fid] == visit_stamp_) return;
+  flow_visit_[fid] = visit_stamp_;
+  comp_flows_.push_back(fid);
+  for (const LinkId l : store_->span(fid)) {
+    const auto lv = l.value();
+    if (link_visit_[lv] == visit_stamp_) continue;
+    link_visit_[lv] = visit_stamp_;
+    comp_links_.push_back(lv);
+  }
+}
+
+// The flows a change can move directly: the added or moved flows, every
+// flow on a link whose capacity changed, and every flow frozen on a link
+// that lost a flow (the freed capacity is theirs first). Flows frozen
+// elsewhere only move if one of these does, which the certificate finds.
+bool MaxMinAllocator::seed_region(std::size_t limit) {
+  if (dirty_flows_.size() > limit) return false;
+  for (const std::uint32_t fid : dirty_flows_)
+    if (in_system_[fid]) add_to_region(fid);
+  for (const LinkId::value_type lv : cap_links_) {
+    for (const std::uint32_t fid : inc_flows_on_.items(lv)) add_to_region(fid);
+    if (comp_flows_.size() > limit) return false;
+  }
+  for (const LinkId::value_type lv : dirty_links_) {
+    for (const std::uint32_t fid : inc_flows_on_.items(lv))
+      if (freeze_link_[fid] == lv) add_to_region(fid);
+    if (comp_flows_.size() > limit) return false;
+  }
+  return true;
+}
+
+// The max-min certificate: every flow must be frozen on a saturated link
+// where no flow has a higher rate. Links the region does not touch carry
+// only fixed flows at their old rates and passed before; a region fill
+// keeps every link it touches within capacity, so only the flows frozen on
+// those links need checking.
+void MaxMinAllocator::check_region() {
+  grow_.clear();
+  for (const LinkId::value_type lv : comp_links_) {
+    const auto flows = inc_flows_on_.items(lv);
+    double load = 0;
+    double top = 0;
+    bool frozen_here = false;
+    for (const std::uint32_t fid : flows) {
+      load += inc_rate_[fid];
+      top = std::max(top, inc_rate_[fid]);
+      frozen_here |= freeze_link_[fid] == lv;
+    }
+    if (!frozen_here) continue;
+    const double capacity = capacity_of(LinkId(lv));
+    const bool saturated = load >= capacity - kSaturatedTolerance * capacity;
+    for (const std::uint32_t fid : flows) {
+      if (freeze_link_[fid] != lv) continue;
+      const double rate = inc_rate_[fid];
+      if (saturated && rate >= top * (1 - kTieTolerance)) continue;
+      if (flow_visit_[fid] != visit_stamp_) {
+        grow_.push_back(fid);
+        continue;
+      }
+      for (const std::uint32_t other : flows)
+        if (flow_visit_[other] != visit_stamp_ &&
+            inc_rate_[other] > rate * (1 + kTieTolerance))
+          grow_.push_back(other);
+    }
+  }
+}
+
+bool MaxMinAllocator::solve_region(std::size_t limit) {
+  while (true) {
+    ++frozen_stamp_;
+    water_fill_range(comp_flows_, comp_links_, /*region=*/true);
+    check_region();
+    if (grow_.empty()) return true;
+    for (const std::uint32_t fid : grow_) add_to_region(fid);
+    if (comp_flows_.size() > limit) return false;
+  }
 }
 
 bool MaxMinAllocator::collect_component(std::size_t limit) {
@@ -162,39 +253,59 @@ void MaxMinAllocator::collect_everything() {
   }
 }
 
+void MaxMinAllocator::reset_scope() {
+  ++visit_stamp_;
+  comp_flows_.clear();
+  comp_links_.clear();
+}
+
 // Progressive filling: repeatedly saturate the link with the smallest fair
 // share and freeze its unfrozen flows at that share.
 void MaxMinAllocator::water_fill_range(
     std::span<const std::uint32_t> flows,
-    std::span<const LinkId::value_type> links) {
+    std::span<const LinkId::value_type> links, bool region) {
   for (const auto lv : links) {
     inc_remaining_[lv] = capacity_of(LinkId(lv));
     inc_unfrozen_[lv] =
         static_cast<std::uint32_t>(inc_flows_on_.size(lv));
     inc_saturated_[lv] = 0;
+    if (!region) continue;
+    // Outside flows are fixed: pre-frozen, their rates taken off the top.
+    for (const std::uint32_t fid : inc_flows_on_.items(lv)) {
+      if (flow_visit_[fid] == visit_stamp_) continue;
+      frozen_mark_[fid] = frozen_stamp_;
+      inc_remaining_[lv] -= inc_rate_[fid];
+      --inc_unfrozen_[lv];
+    }
   }
 
   // Lazy-deletion min-heap over link fair shares. Freezing flows only
   // *raises* the fair share of the remaining links (the frozen rate is at
   // most the link's current share), so a popped entry whose recomputed
   // share grew is simply re-pushed — monotonicity makes this sound.
-  using Entry = std::pair<double, LinkId::value_type>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  auto share_of = [&](LinkId::value_type lv) {
+  const auto share_of = [&](LinkId::value_type lv) {
     return inc_remaining_[lv] / static_cast<double>(inc_unfrozen_[lv]);
   };
-  for (const auto lv : links) heap.emplace(share_of(lv), lv);
+  const auto push = [&](double share, LinkId::value_type lv) {
+    heap_.emplace_back(share, lv);
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+  };
+  heap_.clear();
+  for (const auto lv : links) push(share_of(lv), lv);
 
   std::size_t frozen_count = 0;
   const std::size_t target = flows.size();
   while (frozen_count < target) {
-    DCN_CHECK_MSG(!heap.empty(), "no bottleneck but unfrozen flows remain");
-    const auto [key, lv] = heap.top();
-    heap.pop();
+    DCN_CHECK_MSG(!heap_.empty(), "no bottleneck but unfrozen flows remain");
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+    const auto [key, lv] = heap_.back();
+    heap_.pop_back();
     if (inc_saturated_[lv] || inc_unfrozen_[lv] == 0) continue;
     const double actual = share_of(lv);
-    if (actual > key * (1 + 1e-12) + 1e-9) {
-      heap.emplace(actual, lv);
+    // `actual > key` keeps a negative share (a link its fixed flows
+    // overfill) from re-pushing itself forever; for key >= 0 it is implied.
+    if (actual > key && actual > key * (1 + kTieTolerance) + 1e-9) {
+      push(actual, lv);
       continue;
     }
     const double share = std::max(actual, 0.0);
@@ -204,6 +315,7 @@ void MaxMinAllocator::water_fill_range(
       frozen_mark_[fid] = frozen_stamp_;
       ++frozen_count;
       inc_rate_[fid] = share;
+      freeze_link_[fid] = lv;
       for (const LinkId l : store_->span(fid)) {
         inc_remaining_[l.value()] -= share;
         --inc_unfrozen_[l.value()];
@@ -215,34 +327,42 @@ void MaxMinAllocator::water_fill_range(
 
 const std::vector<std::uint32_t>& MaxMinAllocator::recompute() {
   DCN_CHECK_MSG(store_ != nullptr, "recompute before attach");
-  ++visit_stamp_;
-  comp_flows_.clear();
-  comp_links_.clear();
+  reset_scope();
 
-  bool full = full_only_ || !inc_ready_;
-  if (!full) {
-    // Past ~2/3 of the system the scoped pass saves nothing over a full
-    // one (and pays the BFS), so bail out early.
-    const std::size_t limit = members_.size() - members_.size() / 3;
-    if (!collect_component(limit)) {
-      full = true;
-      ++visit_stamp_;  // invalidate the aborted BFS's marks
-      comp_flows_.clear();
-      comp_links_.clear();
+  // Past ~2/3 of the system a scoped pass saves nothing over a full one
+  // (and pays for finding its scope), so both tiers bail out there.
+  const std::size_t limit = members_.size() - members_.size() / 3;
+  Scope scope = full_only_ || !inc_ready_ ? Scope::Full : Scope::Region;
+  if (scope == Scope::Region) {
+    // A change seeding more than 1/8 of the flows grows a region that
+    // nears its component in several fills: one component fill is cheaper.
+    if (!seed_region(members_.size() / 8)) {
+      scope = Scope::Component;
+      reset_scope();
+    } else if (!solve_region(limit)) {
+      scope = Scope::Full;
+      reset_scope();
     }
   }
-  if (full) {
+  if (scope == Scope::Component && !collect_component(limit)) {
+    scope = Scope::Full;
+    reset_scope();
+  }
+  if (scope == Scope::Full) {
     collect_everything();
     inc_ready_ = true;
   }
-  last_full_ = full;
+  last_scope_ = scope;
 
   dirty_flows_.clear();
   dirty_links_.clear();
+  cap_links_.clear();
   ++dirty_stamp_;
 
-  ++frozen_stamp_;
-  water_fill_range(comp_flows_, comp_links_);
+  if (scope != Scope::Region) {
+    ++frozen_stamp_;
+    water_fill_range(comp_flows_, comp_links_, /*region=*/false);
+  }
   return comp_flows_;
 }
 

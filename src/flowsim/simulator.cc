@@ -43,6 +43,7 @@ void FlowSimulator::set_metrics(obs::MetricsRegistry* metrics) {
     m_reallocs_ = nullptr;
     m_realloc_full_ = nullptr;
     m_realloc_scoped_ = nullptr;
+    m_realloc_region_ = nullptr;
     m_queue_depth_ = nullptr;
     m_dirty_flows_ = nullptr;
     return;
@@ -50,6 +51,7 @@ void FlowSimulator::set_metrics(obs::MetricsRegistry* metrics) {
   m_reallocs_ = &metrics_->counter("flowsim.reallocations");
   m_realloc_full_ = &metrics_->counter("flowsim.realloc_full");
   m_realloc_scoped_ = &metrics_->counter("flowsim.realloc_scoped");
+  m_realloc_region_ = &metrics_->counter("flowsim.realloc_region");
   m_queue_depth_ = &metrics_->gauge("flowsim.event_queue_depth");
   m_dirty_flows_ = &metrics_->gauge("flowsim.maxmin_dirty_flows");
 }
@@ -437,9 +439,13 @@ void FlowSimulator::reallocate() {
   }
 
   if (m_realloc_full_ != nullptr) {
-    (allocator_.last_recompute_was_full() ? m_realloc_full_
-                                          : m_realloc_scoped_)
+    // realloc_scoped counts every non-full solve; realloc_region the
+    // region-tier share of them.
+    const MaxMinAllocator::Scope scope = allocator_.last_scope();
+    (scope == MaxMinAllocator::Scope::Full ? m_realloc_full_
+                                           : m_realloc_scoped_)
         ->add();
+    if (scope == MaxMinAllocator::Scope::Region) m_realloc_region_->add();
     m_dirty_flows_->set(static_cast<double>(touched.size()));
   }
   if (cfg_.validate_incremental) validate_rates();

@@ -267,6 +267,7 @@ class FlowSimulator : public fabric::DataPlane {
   obs::Counter* m_reallocs_ = nullptr;
   obs::Counter* m_realloc_full_ = nullptr;
   obs::Counter* m_realloc_scoped_ = nullptr;
+  obs::Counter* m_realloc_region_ = nullptr;
   obs::Gauge* m_queue_depth_ = nullptr;
   obs::Gauge* m_dirty_flows_ = nullptr;
 };
