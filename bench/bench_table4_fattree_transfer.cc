@@ -6,9 +6,9 @@
 // (it can separate intra-pod collisions, per-destination-host SimAnneal
 // cannot); random sits in between; pVLB tracks ECMP.
 //
-// Default runs p=8 and p=16 at full duration and p=32 with a shortened
-// window (the fluid simulation of 8192 hosts is the wall-clock bottleneck);
-// --full runs every size at full duration.
+// The default run covers p=8 and p=16 on a 10 s window. p=32 runs only
+// under --full, and then on a 4 s window: the fluid simulation of 8192
+// hosts is the wall-clock bottleneck. --duration overrides every window.
 #include "bench_lib.h"
 
 using namespace dard;

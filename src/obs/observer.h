@@ -27,7 +27,7 @@ enum class TraceEventKind : std::uint8_t {
   DardRound,     // one monitor's evaluation within a DARD scheduling round
   Fault,         // a fault-plan transition was applied to the network
   Snapshot,      // periodic run-health snapshot (schema v3, DESIGN.md §13)
-  Span,          // control-plane span (schema v5, DESIGN.md §17)
+  Span,          // control-plane span (schema v5/v6, DESIGN.md §17)
 };
 
 // What a Span event measured (TraceEvent::span_kind). Spans nest:
@@ -35,7 +35,8 @@ enum class TraceEventKind : std::uint8_t {
 // freshest refresh they consumed, move spans off the dard_round that won.
 enum class SpanKind : std::uint8_t {
   None,      // not a Span event
-  Query,     // one per-switch query exchange (initial attempt + retries)
+  Query,     // one per-switch query exchange (initial attempt + retries);
+             // since v6 only a retried, timed-out or lost one
   Refresh,   // one monitor refresh over its whole query set
   Decision,  // one host's scheduling-round evaluation pass
   Move,      // an accepted move being applied (closes a chain)
@@ -59,11 +60,17 @@ enum class FaultAction : std::uint8_t {
 // any field change; v1 was the PR-1 schema without cause ids, v2 added
 // them, v3 added periodic snapshot events, v4 added agent-level fault
 // actions (agent_crash/agent_restart/host_down/host_up), v5 added
-// control-plane span events and the p99.9 profile column. Readers accept
-// anything in [kMinReadableTraceSchemaVersion, kTraceSchemaVersion]: a v2
-// trace is a valid v5 trace that happens to contain no snapshot, agent-fault
-// or span lines.
-inline constexpr int kTraceSchemaVersion = 5;
+// control-plane span events and the p99.9 profile column, v6 folds clean
+// query exchanges into their refresh span. A clean exchange is one attempt
+// with no timeout and no loss; v6 writes no query line for it, and its
+// refresh carries "clean", the number of such exchanges. Only retried,
+// timed-out or lost exchanges keep a query line. Every exchange still draws
+// its span id, so ids do not change. Readers accept anything in
+// [kMinReadableTraceSchemaVersion, kTraceSchemaVersion] under one rule: a
+// refresh's clean (0 before v6) counts as that many one-attempt, delivered
+// query spans parented to it. A v2 trace is a valid v6 trace that happens
+// to contain no snapshot, agent-fault or span lines.
+inline constexpr int kTraceSchemaVersion = 6;
 inline constexpr int kMinReadableTraceSchemaVersion = 2;
 
 // One profiled section's distribution summary, carried inside snapshots.
@@ -157,12 +164,15 @@ struct TraceEvent {
   // or unset. attempts counts query exchanges (Decision spans reuse it for
   // the number of path evaluations), timeouts/lost split failed exchanges
   // into late-reply vs never-delivered, bytes is the modeled wire cost and
-  // accepted doubles as the span's ok/failed bit.
+  // accepted doubles as the span's ok/failed bit. span_clean (Refresh only,
+  // schema v6) counts the refresh's clean exchanges, which have no Query
+  // span of their own.
   SpanKind span_kind = SpanKind::None;
   std::uint64_t parent_id = 0;
   std::uint32_t span_attempts = 0;
   std::uint32_t span_timeouts = 0;
   std::uint32_t span_lost = 0;
+  std::uint32_t span_clean = 0;
   std::uint64_t span_bytes = 0;
   Seconds span_duration = 0;
 

@@ -158,6 +158,8 @@ void append_json(std::string& out, const TraceEvent& e) {
       field_int(out, "attempts", e.span_attempts);
       field_int(out, "timeouts", e.span_timeouts);
       field_int(out, "lost", e.span_lost);
+      if (e.span_kind == SpanKind::Refresh)
+        field_int(out, "clean", e.span_clean);
       field_int(out, "bytes", e.span_bytes);
       field_double(out, "dur_s", e.span_duration);
       field_bool(out, "ok", e.accepted);

@@ -147,12 +147,15 @@ struct ControlOverhead {
 
 [[nodiscard]] ControlOverhead summarize_control(const RunData& run);
 
-// --- Control-plane span analyses (DESIGN.md §17; schema v5 traces). ---
+// --- Control-plane span analyses (DESIGN.md §17; schema v5/v6 traces). ---
 
 // Causal audit plus aggregates over every Span event in the trace. A span's
 // parent must reference a strictly earlier span id or accepted DardRound
 // round id — the recorder emits parents before children, so a dangling
-// parent means a corrupted or truncated-at-the-wrong-place trace.
+// parent means a corrupted or truncated-at-the-wrong-place trace. A
+// refresh's clean exchanges (TraceEvent::span_clean) count as that many
+// one-attempt query spans parented to it, so a v6 trace audits the same as
+// the v5 trace that wrote them all.
 struct SpanAudit {
   std::size_t spans = 0;
   std::size_t query_spans = 0;

@@ -193,6 +193,9 @@ void RunData::add_event(const obs::TraceEvent& e) {
         case obs::SpanKind::Refresh:
           ++d.refreshes;
           d.bytes += e.span_bytes;
+          // Its clean exchanges: one attempt each, no timeout, no loss.
+          d.queries += e.span_clean;
+          d.attempts += e.span_clean;
           break;
         case obs::SpanKind::Decision:
           ++d.decisions;

@@ -151,6 +151,15 @@ void StreamingAnalyzer::on_event(const TraceEvent& e) {
         case obs::SpanKind::Refresh:
           ++spans_.refresh_spans;
           spans_.bytes += e.span_bytes;
+          // Its clean exchanges (schema v6; 0 before): one-attempt,
+          // delivered query spans parented to it.
+          spans_.spans += e.span_clean;
+          spans_.query_spans += e.span_clean;
+          spans_.attempts += e.span_clean;
+          if (e.cause_id != 0) {
+            spans_.parented += e.span_clean;
+            spans_.resolved += e.span_clean;
+          }
           break;
         case obs::SpanKind::Decision:
           ++spans_.decision_spans;

@@ -53,7 +53,8 @@ class StreamingAnalyzer {
     std::size_t trace_events = 0;
     std::size_t fault_events = 0;
     std::size_t snapshot_events = 0;
-    std::size_t span_events = 0;
+    std::size_t span_events = 0;  // span lines; spans().spans adds the
+                                  // clean exchanges folded into refreshes
     std::size_t flows_seen = 0;  // distinct flow ids
     std::size_t live_flows = 0;  // seen but not yet completed
     std::size_t completed_flows = 0;

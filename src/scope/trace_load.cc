@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <sstream>
 #include <string_view>
 #include <vector>
@@ -34,8 +35,8 @@ constexpr std::string_view kFieldNames[] = {
     "seq", "flows", "elephants", "queue_depth", "throughput_bps",
     "max_utilization", "rss_bytes", "path_store_bytes", "counters", "profile",
     // span
-    "span", "id", "parent", "peer", "attempts", "timeouts", "lost", "bytes",
-    "dur_s", "ok",
+    "span", "id", "parent", "peer", "attempts", "timeouts", "lost", "clean",
+    "bytes", "dur_s", "ok",
     // snapshot profile entries
     "section", "count", "total_s", "mean_s", "p50_s", "p95_s", "p99_s",
     "p999_s", "max_s"};
@@ -236,6 +237,29 @@ bool read_strong_id(const Fields& f, std::size_t id, IdT* out,
 bool read_double(const Fields& f, std::size_t id, double* out,
                  std::string* error) {
   return f.number(id, /*required=*/false, *out, out, error);
+}
+
+// A v6 refresh span's count of clean exchanges (TraceEvent::span_clean): an
+// integer from 0 to the refresh's attempts. Any other span kind must not
+// carry it.
+bool read_clean(const Fields& f, obs::TraceEvent* e, std::string* error) {
+  if (f.find(F("clean")) == nullptr) return true;
+  if (e->span_kind != obs::SpanKind::Refresh) {
+    *error = "field \"clean\" is only valid on a refresh span";
+    return false;
+  }
+  double clean = 0;
+  if (!f.number(F("clean"), /*required=*/true, 0, &clean, error)) return false;
+  if (!(clean >= 0 && clean < 4294967296.0) || clean != std::floor(clean)) {
+    *error = "field \"clean\" must be an integer in [0, 2^32)";
+    return false;
+  }
+  if (clean > e->span_attempts) {
+    *error = "field \"clean\" exceeds the refresh's attempts";
+    return false;
+  }
+  e->span_clean = static_cast<std::uint32_t>(clean);
+  return true;
 }
 
 }  // namespace
@@ -487,7 +511,9 @@ bool decode(const Fields& f, obs::TraceEvent* out, std::string* error) {
            read_id(f, F("lost"), &e.span_lost, error) &&
            read_u64(f, F("bytes"), &e.span_bytes, error) &&
            read_double(f, F("dur_s"), &e.span_duration, error) &&
-           f.boolean(F("ok"), false, &e.accepted, error);
+           f.boolean(F("ok"), false, &e.accepted, error) &&
+           // v2–v5 predate "clean": there it is an unknown field.
+           (static_cast<int>(version) < 6 || read_clean(f, &e, error));
       break;
     }
   }

@@ -5,6 +5,8 @@
 // trace line decoder. The codec tests hold the production code to these:
 // byte-identical output, and the same accept/reject decisions and fields.
 // The only intended difference is json::kMaxDepth, which this parser lacks.
+// The renderer and the decoder also carry schema v6's refresh "clean" count
+// and its range checks, so the fuzzer holds both readers to one rule.
 #pragma once
 
 #include <cctype>
@@ -140,6 +142,8 @@ inline std::string to_json(const obs::TraceEvent& e) {
       os << ",\"attempts\":" << e.span_attempts;
       os << ",\"timeouts\":" << e.span_timeouts;
       os << ",\"lost\":" << e.span_lost;
+      if (e.span_kind == SpanKind::Refresh)
+        os << ",\"clean\":" << e.span_clean;
       os << ",\"bytes\":" << e.span_bytes;
       field_double(os, "dur_s", e.span_duration);
       os << ",\"ok\":" << (e.accepted ? "true" : "false");
@@ -583,6 +587,29 @@ inline bool parse_trace_line(const std::string& line, obs::TraceEvent* out,
            read_u64(*root, "bytes", &e.span_bytes, error) &&
            read_double(*root, "dur_s", &e.span_duration, error) &&
            json::get_bool(*root, "ok", false, &e.accepted, error);
+      // Schema v6: a refresh's count of clean exchanges, from 0 to its
+      // attempts; no other span kind carries one. Older lines ignore it.
+      if (ok && static_cast<int>(version) >= 6 &&
+          root->object.count("clean") > 0) {
+        if (e.span_kind != obs::SpanKind::Refresh) {
+          *error = "field \"clean\" is only valid on a refresh span";
+          return false;
+        }
+        double clean = 0;
+        if (!json::get_number(*root, "clean", /*required=*/true, 0, &clean,
+                              error))
+          return false;
+        if (!(clean >= 0 && clean < 4294967296.0) ||
+            clean != static_cast<double>(static_cast<std::uint64_t>(clean))) {
+          *error = "field \"clean\" must be an integer in [0, 2^32)";
+          return false;
+        }
+        if (clean > e.span_attempts) {
+          *error = "field \"clean\" exceeds the refresh's attempts";
+          return false;
+        }
+        e.span_clean = static_cast<std::uint32_t>(clean);
+      }
       break;
     }
   }

@@ -122,6 +122,7 @@ class RandomEvents {
     e.span_attempts = integer<std::uint32_t>();
     e.span_timeouts = integer<std::uint32_t>();
     e.span_lost = integer<std::uint32_t>();
+    e.span_clean = integer<std::uint32_t>();
     e.span_bytes = integer<std::uint64_t>();
     e.span_duration = real();
     if (kind == TraceEventKind::Snapshot && pick(10) != 0) {

@@ -3,7 +3,8 @@
 //
 // The corpus in tests/data/ comes from CI-shaped run dirs: one trace line per
 // event kind, span kind and fault action, a snapshot with counters and a
-// profile, a manifest, a fault plan, and link-sample rows. Each iteration
+// profile, v6 lines (a refresh carrying "clean" and a retried query), a
+// manifest, a fault plan, and link-sample rows. Each iteration
 // mutates it with byte flips, truncations, splices between lines, duplicated
 // keys, inserted whitespace and runs of '[' / '{', then requires that
 //   - no reader crashes (the sanitizer build turns memory errors into
@@ -75,6 +76,7 @@ void expect_same_event(const obs::TraceEvent& a, const obs::TraceEvent& b) {
   EXPECT_EQ(a.span_attempts, b.span_attempts);
   EXPECT_EQ(a.span_timeouts, b.span_timeouts);
   EXPECT_EQ(a.span_lost, b.span_lost);
+  EXPECT_EQ(a.span_clean, b.span_clean);
   EXPECT_EQ(a.span_bytes, b.span_bytes);
   EXPECT_TRUE(same_bits(a.span_duration, b.span_duration));
   ASSERT_EQ(a.snapshot == nullptr, b.snapshot == nullptr);
@@ -224,7 +226,7 @@ class Mutator {
 
 TEST(ReaderFuzz, TraceLinesDecodeAsTheReferenceDecoderDoes) {
   const std::vector<std::string> corpus = read_lines("trace_corpus.jsonl");
-  ASSERT_GE(corpus.size(), 19u);
+  ASSERT_GE(corpus.size(), 22u);
   // The unmutated corpus decodes, and identically.
   for (const std::string& line : corpus) {
     obs::TraceEvent got, want;
@@ -259,6 +261,69 @@ TEST(ReaderFuzz, TraceLinesDecodeAsTheReferenceDecoderDoes) {
   // The mutations must exercise both outcomes, and the limit.
   EXPECT_GT(accepted, 200u);
   EXPECT_GT(depth_refusals, 20u);
+}
+
+// The v6 "clean" count of a refresh span. Negative, fractional, at or past
+// 2^32, above the refresh's attempts, or on another span kind, it fails the
+// load with its line number; on a v5 line it is an unknown field and is
+// ignored.
+TEST(ReaderFuzz, HostileCleanCountsAreLineNumberedErrors) {
+  const std::string refresh =
+      R"({"v":6,"kind":"span","t":1,"span":"refresh","id":1,"parent":0,)"
+      R"("host":10,"peer":15,"attempts":9,"timeouts":0,"lost":0,"bytes":720,)"
+      R"("dur_s":0,"ok":true)";
+  const std::string query =
+      R"({"v":6,"kind":"span","t":1,"span":"query","id":2,"parent":1,)"
+      R"("host":10,"peer":0,"attempts":1,"timeouts":0,"lost":0,"bytes":80,)"
+      R"("dur_s":0,"ok":true)";
+  const std::string decision =
+      R"({"v":6,"kind":"span","t":1,"span":"decision","id":3,"parent":1,)"
+      R"("host":10,"attempts":1,"timeouts":0,"lost":0,"bytes":0,"dur_s":0,)"
+      R"("ok":true)";
+  const std::string range = "field \"clean\" must be an integer in [0, 2^32)";
+  const std::string kind = "field \"clean\" is only valid on a refresh span";
+  const std::pair<std::string, std::string> cases[] = {
+      {refresh + R"(,"clean":-1})", range},
+      {refresh + R"(,"clean":1.5})", range},
+      {refresh + R"(,"clean":4294967296})", range},
+      {refresh + R"(,"clean":1e300})", range},
+      {refresh + R"(,"clean":10})", "field \"clean\" exceeds the refresh's attempts"},
+      {refresh + R"(,"clean":"3"})", "field \"clean\" must be a number"},
+      {query + R"(,"clean":0})", kind},
+      {decision + R"(,"clean":1})", kind},
+  };
+  const std::string path = testing::TempDir() + "/hostile_clean.jsonl";
+  const std::string first = read_lines("trace_corpus.jsonl").front();
+  for (const auto& [line, error] : cases) {
+    SCOPED_TRACE(line);
+    {
+      std::ofstream out(path);
+      out << first << '\n' << line << '\n';
+    }
+    scope::RunData run;
+    std::string got;
+    EXPECT_FALSE(scope::load_run(path, &run, &got));
+    EXPECT_EQ(got, path + ":2: " + error);
+    // The reference decoder refuses it with the same words.
+    obs::TraceEvent e;
+    std::string want;
+    EXPECT_FALSE(codec_ref::parse_trace_line(line, &e, &want));
+    EXPECT_EQ(want, error);
+  }
+
+  // v5 predates the field: any "clean" is ignored, even a hostile one.
+  std::string v5 = refresh + R"(,"clean":-1})";
+  v5.replace(v5.find("\"v\":6"), 5, "\"v\":5");
+  obs::TraceEvent e;
+  std::string error;
+  ASSERT_TRUE(scope::parse_trace_line(v5, &e, &error)) << error;
+  EXPECT_EQ(e.span_clean, 0u);
+  // At the bounds, v6 reads it.
+  for (const std::uint32_t n : {0u, 9u}) {
+    const std::string line = refresh + ",\"clean\":" + std::to_string(n) + "}";
+    ASSERT_TRUE(scope::parse_trace_line(line, &e, &error)) << error;
+    EXPECT_EQ(e.span_clean, n);
+  }
 }
 
 TEST(ReaderFuzz, JsonDocumentsParseAsTheReferenceParserDoes) {

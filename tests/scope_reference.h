@@ -6,7 +6,8 @@
 // the report assembly on top of them are kept here, unchanged in substance,
 // as the reference the streamed RunData and StreamingAnalyzer must equal
 // report for report (tests/scope_reference_test.cc). They share the record
-// types and the renderers with src/scope, and nothing else.
+// types and the renderers with src/scope, and nothing else. The span passes
+// count a refresh's schema-v6 clean exchanges as the readers do.
 #pragma once
 
 #include <algorithm>
@@ -301,6 +302,17 @@ inline SpanAudit audit_spans(const std::vector<TraceEvent>& trace) {
         ++a.dangling;
     }
     if (e.cause_id != 0) ids_seen.insert(e.cause_id);
+    // Schema v6: a refresh's clean exchanges are one-attempt query spans
+    // parented to it, which the trace does not write out.
+    if (e.span_kind == obs::SpanKind::Refresh) {
+      a.spans += e.span_clean;
+      a.query_spans += e.span_clean;
+      a.attempts += e.span_clean;
+      if (e.cause_id != 0) {
+        a.parented += e.span_clean;
+        if (ids_seen.count(e.cause_id) > 0) a.resolved += e.span_clean;
+      }
+    }
   }
   return a;
 }
@@ -322,6 +334,8 @@ inline std::vector<DaemonSpanSummary> summarize_daemon_spans(
       case obs::SpanKind::Refresh:
         ++d.refreshes;
         d.bytes += e.span_bytes;
+        d.queries += e.span_clean;   // schema v6: the folded clean
+        d.attempts += e.span_clean;  // exchanges, one attempt each
         break;
       case obs::SpanKind::Decision:
         ++d.decisions;
