@@ -262,29 +262,73 @@ void BM_EncodePath(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodePath);
 
-void BM_MonitorRefresh(benchmark::State& state) {
-  const auto t = topo::build_fat_tree({.p = static_cast<int>(state.range(0))});
-  flowsim::FlowSimulator sim(t);
+// An idle k-ary fat tree under a FlowSimulator, and a monitor between its
+// first and last ToR (inter-pod: 256 paths over 289 switches at k=32).
+struct MonitorFixture {
+  explicit MonitorFixture(int p)
+      : t(topo::build_fat_tree({.p = p})), sim(t) {
+    sim.set_agent(&agent);
+  }
+  topo::Topology t;
+  flowsim::FlowSimulator sim;
   baselines::EcmpAgent agent;
-  sim.set_agent(&agent);
-  const fabric::StateQueryService service(sim.link_state(), nullptr);
-  core::PathMonitor monitor(sim, t.tors().front(), t.tors().back());
+};
+
+// A refresh with no accountant: the exchanges and the port snapshot.
+void BM_MonitorRefresh(benchmark::State& state) {
+  MonitorFixture f(static_cast<int>(state.range(0)));
+  const fabric::StateQueryService service(f.sim.link_state(), nullptr);
+  core::PathMonitor monitor(f.sim, f.t.tors().front(), f.t.tors().back());
   for (auto _ : state) {
     monitor.refresh(0.0, service);
   }
 }
 BENCHMARK(BM_MonitorRefresh)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 
+// The same refresh charging the simulator's accountant, as every run's
+// monitors do. CI gates it at 1.15x BM_MonitorRefresh/32: a refresh that
+// went back to charging each message alone would cost ~1.4x.
+void BM_MonitorRefreshAccounted(benchmark::State& state) {
+  MonitorFixture f(static_cast<int>(state.range(0)));
+  const fabric::StateQueryService service(f.sim.link_state(),
+                                          &f.sim.accountant());
+  core::PathMonitor monitor(f.sim, f.t.tors().front(), f.t.tors().back());
+  for (auto _ : state) {
+    monitor.refresh(0.0, service);
+  }
+}
+BENCHMARK(BM_MonitorRefreshAccounted)->Arg(32);
+
+// One accounted refresh plus the round's propose() that consumes it, on a
+// monitor tracking one flow: the path-state assembly a refresh leaves to
+// the round is timed here.
+void BM_MonitorRound(benchmark::State& state) {
+  MonitorFixture f(static_cast<int>(state.range(0)));
+  const fabric::StateQueryService service(f.sim.link_state(),
+                                          &f.sim.accountant());
+  const core::DardConfig cfg;
+  core::PathMonitor monitor(f.sim, f.t.tors().front(), f.t.tors().back());
+  monitor.add_flow(FlowId(0), 0);
+  Rng rng(1);
+  for (auto _ : state) {
+    monitor.refresh(0.0, service, cfg);
+    benchmark::DoNotOptimize(monitor.propose(cfg.delta, rng));
+  }
+}
+BENCHMARK(BM_MonitorRound)->Arg(32);
+
 // What a new DARD monitor costs its host: one PathMonitor built per
-// iteration over a fixed seeded list of inter-pod ToR pairs. CI gates
-// BM_MonitorBuild/32 against BM_MonitorRefresh/32: a build that went back
-// to materializing and deduplicating the pair's whole path set would cost
-// well over the gated multiple of a refresh.
+// iteration over a fixed seeded list of inter-pod ToR pairs. A build is one
+// walk over the generator's paths that numbers each link's slot, a sort of
+// the query set and a pass grouping the slots by switch, into arrays
+// allocated once at their final size. CI gates BM_MonitorBuild/32 against
+// BM_MonitorRefresh/32: a build that went back to materializing and
+// deduplicating the pair's whole path set would cost well over the gated
+// multiple of a refresh.
 void BM_MonitorBuild(benchmark::State& state) {
-  const auto t = topo::build_fat_tree({.p = static_cast<int>(state.range(0))});
-  flowsim::FlowSimulator sim(t);
-  baselines::EcmpAgent agent;
-  sim.set_agent(&agent);
+  MonitorFixture f(static_cast<int>(state.range(0)));
+  const topo::Topology& t = f.t;
+  flowsim::FlowSimulator& sim = f.sim;
   const auto& tors = t.tors();
   constexpr std::size_t kPairs = 64;
   std::vector<std::pair<NodeId, NodeId>> pairs;

@@ -10,15 +10,29 @@
 // and Clos this reduces to the paper's four groups (source ToR, source-side
 // aggregation switches, cores, destination-side aggregation switches).
 //
+// A refresh runs the exchanges and snapshots the answered switches' port
+// states, then charges the round's messages to the accountant in one call.
+// It does not assemble PV: a path's state is assembled from the snapshot,
+// judged stale against the refresh's own time, when a round's propose() or
+// path_states() reads it, so refreshes that no round consumes cost no
+// assembly. At k=32 an inter-pod monitor queries 289 switches for 544
+// links over 256 paths and holds 27.5 KiB of heap.
+//
 // Fault hardening (DESIGN.md §11): each switch query runs through a
 // timeout + bounded-retry policy; links whose switch never answered keep
 // their last-known-good state, age-stamped and distrusted past a staleness
 // cap. Paths whose BoNF collapses to the failure floor are blacklisted
 // (never a move target, flows evacuated first) and sit on probation for a
 // few healthy refreshes after repair before they may receive flows again.
+// A path reads at or under the floor exactly when one of its links does, so
+// a refresh runs the blacklist pass only while a snapshotted link reads at
+// or under the floor or a path is blacklisted; otherwise the pass would
+// change nothing.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -87,12 +101,14 @@ class PathMonitor {
   [[nodiscard]] NodeId dst_tor() const { return dst_tor_; }
   [[nodiscard]] std::size_t path_count() const { return pv_.size(); }
 
-  // One round of path-state assembling: query every relevant switch through
-  // `service` (control messages are accounted there) and rebuild PV. Each
-  // switch exchange follows cfg's timeout/retry policy; a switch that
-  // exhausts its retries leaves its links on last-known-good state, and
-  // links staler than cfg.state_staleness_cap make their paths sit this
-  // round out. Also updates the path blacklist from the assembled BoNFs.
+  // One query round: query every relevant switch through `service` and
+  // snapshot the answered switches' port states; the round's messages are
+  // charged once, through service.charge(). Each switch exchange follows
+  // cfg's timeout/retry policy; a switch that exhausts its retries leaves
+  // its links on last-known-good state, and links staler than
+  // cfg.state_staleness_cap at `now` make their paths sit the next rounds
+  // out. Also updates the path blacklist when a snapshotted link reads at
+  // or under cfg.blacklist_bonf_floor or a path is already blacklisted.
   // `exchanges`, when non-null, is cleared and filled with one per-switch
   // QueryExchange record for span tracing (telemetry only: filling it never
   // changes the refresh outcome).
@@ -108,15 +124,23 @@ class PathMonitor {
   void remove_flow(FlowId flow, PathIndex path);
   void record_move(FlowId flow, PathIndex from, PathIndex to);
 
-  [[nodiscard]] bool has_flows() const { return tracked_flows_ > 0; }
-  [[nodiscard]] std::size_t tracked_flows() const { return tracked_flows_; }
+  [[nodiscard]] bool has_flows() const { return !flows_.empty(); }
+  [[nodiscard]] std::size_t tracked_flows() const { return flows_.size(); }
   [[nodiscard]] std::uint32_t flows_on(PathIndex path) const;
+  // PV as of the last refresh, assembled on the first read after it. An
+  // unassembled path (never answered, or stale past the cap) reads
+  // PathState{}.
   [[nodiscard]] const std::vector<PathState>& path_states() const {
+    assemble();
     return pv_;
   }
 
   [[nodiscard]] bool is_blacklisted(PathIndex path) const {
     return blacklisted_[path] != 0;
+  }
+  // Healthy refreshes a blacklisted path still owes before it clears.
+  [[nodiscard]] std::uint32_t probation_left(PathIndex path) const {
+    return probation_[path];
   }
   [[nodiscard]] std::size_t blacklisted_count() const {
     return blacklisted_live_;
@@ -149,38 +173,67 @@ class PathMonitor {
   }
 
  private:
+  // One snapshotted link, 16 bytes: its port state as last answered.
+  struct Slot {
+    Bps bandwidth = 0;
+    std::uint32_t elephants = 0;
+    LinkId link;
+
+    // LinkState::bonf(), the same arithmetic.
+    [[nodiscard]] double bonf() const {
+      return elephants == 0 ? bandwidth
+                            : bandwidth / static_cast<double>(elephants);
+    }
+    // False when bonf() cannot round to `floor` or under: the bandwidth is
+    // over twice the floor per elephant. A failed link (1 bps) is near.
+    [[nodiscard]] bool near_floor(Bps floor) const {
+      return bandwidth <= 2 * floor * (elephants == 0 ? 1.0 : elephants);
+    }
+  };
+
+  // Rebuilds pv_ from the snapshot when a refresh has changed it since the
+  // last assembly: per path, the first strict BoNF minimum over its links
+  // in link order, or unassembled when a link's switch never answered or
+  // answered longer than the staleness cap before the refresh.
+  void assemble() const;
+  // Whether a snapshotted slot — of an answered switch, or of any switch
+  // that has ever answered when `all` — reads at or under `floor`.
+  [[nodiscard]] bool any_dead(Bps floor, bool all) const;
+
   NodeId src_tor_;
   NodeId dst_tor_;
   // The switches that report some monitored link, sorted by node id: the
   // order they are queried in, and so the order a control-plane fault model
   // draws their losses in.
   std::vector<NodeId> query_set_;
+  // When each switch's last accepted reply reflects (-1: never answered).
+  std::vector<Seconds> switch_fresh_;
+  // Refresh scratch: whether each switch answered this round.
+  std::vector<std::uint8_t> answered_;
 
   // The monitor holds no path set. Its paths are the generator's
   // (src ToR, dst ToR, i), laid out once at construction into "slots": the
   // unique switch-switch links any path crosses, numbered in order of first
   // appearance, each owned by the switch (query_set_ index) that reports
   // it. Path i's slots, in link order, are
-  // path_slot_[path_begin_[i] .. path_begin_[i + 1]). Pre-resolved so a
-  // refresh touches no topology structure.
-  std::vector<LinkId> slot_links_;
+  // path_slot_[path_begin_[i] .. path_begin_[i + 1]). Every array is sized
+  // once at construction; a refresh touches no topology structure.
+  std::vector<Slot> slots_;
   std::vector<std::uint32_t> slot_owner_;   // slot -> query_set_ index
   std::vector<std::uint32_t> path_begin_;   // per path, path_count + 1
   std::vector<std::uint32_t> path_slot_;    // every path's slots, flat
 
-  // Last-known-good per-slot state. fresh_at < 0 means never assembled.
-  struct CachedLink {
-    fabric::LinkState state;
-    Seconds fresh_at = -1;
-  };
-  std::vector<CachedLink> cache_;
-  // Per-refresh scratch (member to avoid re-allocating every round).
-  std::vector<std::uint8_t> switch_ok_;
-  std::vector<Seconds> switch_fresh_;
+  // The last refresh's time and staleness cap, which assembly judges by.
+  Seconds refreshed_at_ = 0;
+  Seconds staleness_cap_ = 0;
+  mutable bool pv_current_ = true;
+  mutable std::vector<PathState> pv_;
 
-  std::vector<PathState> pv_;
-  std::vector<std::vector<FlowId>> fv_;  // this host's elephants per path
-  std::size_t tracked_flows_ = 0;
+  // FV: this host's elephants per path, and every (path, flow) in the
+  // order the flows joined their paths (a path's first entry is the flow
+  // a move shifts off it).
+  std::vector<std::uint32_t> fv_count_;
+  std::vector<std::pair<PathIndex, FlowId>> flows_;
 
   std::vector<std::uint8_t> blacklisted_;   // per path
   std::vector<std::uint32_t> probation_;    // healthy refreshes still owed

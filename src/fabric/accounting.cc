@@ -8,7 +8,9 @@
 namespace dard::fabric {
 
 void ControlPlaneAccountant::record(Seconds now, Bytes bytes,
-                                    ControlCategory category) {
+                                    ControlCategory category,
+                                    std::size_t messages) {
+  if (messages == 0) return;
   DCN_CHECK(now >= 0);
   // Control messages have positive size by construction (wire.h constants);
   // a zero or wrapped-around byte count here means a caller computed a
@@ -20,10 +22,11 @@ void ControlPlaneAccountant::record(Seconds now, Bytes bytes,
                 "control category out of range");
   const auto bucket = static_cast<std::size_t>(now);
   if (buckets_.size() <= bucket) buckets_.resize(bucket + 1, 0.0);
-  buckets_[bucket] += static_cast<double>(bytes);
-  ++messages_;
-  total_by_category_[static_cast<std::size_t>(category)] += bytes;
-  if (counter_ != nullptr) counter_->add();
+  const Bytes charged = bytes * messages;
+  buckets_[bucket] += static_cast<double>(charged);
+  messages_ += messages;
+  total_by_category_[static_cast<std::size_t>(category)] += charged;
+  if (counter_ != nullptr) counter_->add(messages);
 }
 
 Bytes ControlPlaneAccountant::total_bytes() const {

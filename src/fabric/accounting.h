@@ -25,11 +25,16 @@ inline constexpr std::size_t kControlCategories = 4;
 
 class ControlPlaneAccountant {
  public:
-  // CHECK-fails on non-positive `bytes` or an out-of-range category: query
-  // accounting is derived from live counters, and a corrupted (e.g.
-  // underflowed) counter must abort the run rather than silently skew the
-  // control-overhead series.
-  void record(Seconds now, Bytes bytes, ControlCategory category);
+  // Charges `messages` messages of `bytes` each, all sent at `now`: the
+  // bucket, the category total, the message count and the mirror end as if
+  // each had been recorded alone (bytes are whole numbers, so the double
+  // buckets add them exactly). Zero messages charge nothing. CHECK-fails on
+  // non-positive `bytes` or an out-of-range category: query accounting is
+  // derived from live counters, and a corrupted (e.g. underflowed) counter
+  // must abort the run rather than silently skew the control-overhead
+  // series.
+  void record(Seconds now, Bytes bytes, ControlCategory category,
+              std::size_t messages = 1);
 
   // Mirrors every recorded message into a metrics counter (conventionally
   // "dard.control_msgs"). Null (the default) disables the mirror; record()

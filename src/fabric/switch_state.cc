@@ -11,24 +11,17 @@ std::vector<LinkState> StateQueryService::query_switch(NodeId sw,
   const auto& out = t.out_links(sw);
   states.reserve(out.size());
   for (const LinkId l : out) states.push_back(link_state(l));
-  account_query(now);
+  charge(now, 1, 1);
   return states;
 }
 
-QueryAttempt StateQueryService::attempt_query(Seconds now) const {
-  if (accountant_ != nullptr)
-    accountant_->record(now, kDardQueryBytes, ControlCategory::DardQuery);
-  if (model_ != nullptr && model_->attempt_lost()) return QueryAttempt{false, 0};
-  if (accountant_ != nullptr)
-    accountant_->record(now, kDardReplyBytes, ControlCategory::DardReply);
-  return QueryAttempt{true, model_ != nullptr ? model_->reply_delay() : 0.0};
-}
-
-void StateQueryService::account_query(Seconds now) const {
-  if (accountant_ != nullptr) {
-    accountant_->record(now, kDardQueryBytes, ControlCategory::DardQuery);
-    accountant_->record(now, kDardReplyBytes, ControlCategory::DardReply);
-  }
+void StateQueryService::charge(Seconds now, std::size_t queries,
+                               std::size_t replies) const {
+  if (accountant_ == nullptr) return;
+  accountant_->record(now, kDardQueryBytes, ControlCategory::DardQuery,
+                      queries);
+  accountant_->record(now, kDardReplyBytes, ControlCategory::DardReply,
+                      replies);
 }
 
 void ControlPlaneModel::capture_stale(const LinkStateBoard& board) {

@@ -4,9 +4,9 @@
 // A switch's state is, per egress port, the port's bandwidth and the number
 // of elephant flows currently traversing it. The simulators update the
 // LinkStateBoard as flows start / finish / move; DARD monitors read it only
-// through StateQueryService::query_switch, which models and accounts the
-// control messages involved. An optional ControlPlaneModel degrades the
-// query channel (loss, delay, stale snapshots) for fault experiments.
+// through StateQueryService, which models and accounts the control messages
+// involved. An optional ControlPlaneModel degrades the query channel (loss,
+// delay, stale snapshots) for fault experiments.
 #pragma once
 
 #include <vector>
@@ -90,21 +90,27 @@ class StateQueryService {
   [[nodiscard]] ControlPlaneModel* model() const { return model_; }
 
   // State of every egress port of `sw`. Models one host->switch query and
-  // one switch->host reply (Fig. 15 accounting); `now` timestamps them.
-  // Serves the frozen snapshot during a stale window.
+  // one switch->host reply (Fig. 15 accounting, charged through charge());
+  // `now` timestamps them. Serves the frozen snapshot during a stale window.
   [[nodiscard]] std::vector<LinkState> query_switch(NodeId sw, Seconds now) const;
 
   // Hot-path split of query_switch for monitors that pre-resolved which
-  // ports they need: account the message exchange once per switch, then
-  // read individual port states without materializing whole replies. The
-  // payload is identical to what query_switch would have returned.
+  // ports they need: run each exchange through the degradation model, read
+  // individual port states without materializing whole replies, and charge
+  // the whole round's messages at once. The payload is identical to what
+  // query_switch would have returned.
   //
-  // attempt_query models one exchange through the degradation model: the
-  // query is always charged; the reply is charged only when delivered.
-  // account_query is the legacy perfect-channel spelling (kept so existing
-  // callers and the no-model fast path stay bit-identical).
-  QueryAttempt attempt_query(Seconds now) const;
-  void account_query(Seconds now) const;
+  // attempt_query models one exchange and charges nothing; with no model
+  // installed it is delivered with zero delay and draws nothing.
+  [[nodiscard]] QueryAttempt attempt_query() const {
+    if (model_ == nullptr) return QueryAttempt{};
+    if (model_->attempt_lost()) return QueryAttempt{false, 0};
+    return QueryAttempt{true, model_->reply_delay()};
+  }
+  // Charges `queries` queries and `replies` replies sent at `now` (a lost
+  // exchange sends its query and no reply). The one place DARD's control
+  // messages reach the accountant.
+  void charge(Seconds now, std::size_t queries, std::size_t replies) const;
   [[nodiscard]] LinkState link_state(LinkId l) const {
     if (model_ != nullptr && model_->stale_active()) {
       const auto [bw, flows] = model_->stale_state(l.value());

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <string_view>
 #include <vector>
@@ -207,30 +208,45 @@ bool read_members(std::string_view text, json::Tokenizer& tk, Fields* f) {
   return true;
 }
 
-// Optional numeric field with a typed destination; absent fields keep the
-// TraceEvent default, mistyped fields fail the line.
+// Optional integer field of an unsigned 32- or 64-bit type: absent, it
+// keeps the TraceEvent default; present, it must be a whole number the type
+// holds (no shipped schema writes a negative or fractional one), else the
+// line fails. Only then is the double cast, which is defined for it.
+template <class UInt>
+bool read_uint(const Fields& f, std::size_t id, UInt* out,
+               std::string* error) {
+  static_assert(std::numeric_limits<UInt>::digits == 32 ||
+                std::numeric_limits<UInt>::digits == 64);
+  constexpr bool k32 = std::numeric_limits<UInt>::digits == 32;
+  constexpr double kEnd = k32 ? 4294967296.0 : 18446744073709551616.0;
+  if (f.find(id) == nullptr) return true;
+  double d = 0;
+  if (!f.number(id, /*required=*/true, 0, &d, error)) return false;
+  if (!(d >= 0 && d < kEnd) || d != std::floor(d)) {
+    *error = "field \"" + std::string(kFieldNames[id]) +
+             "\" must be an integer in [0, 2^" + (k32 ? "32" : "64") + ")";
+    return false;
+  }
+  *out = static_cast<UInt>(d);
+  return true;
+}
+
 bool read_u64(const Fields& f, std::size_t id, std::uint64_t* out,
               std::string* error) {
-  double d = -1;
-  if (!f.number(id, /*required=*/false, -1, &d, error)) return false;
-  if (d >= 0) *out = static_cast<std::uint64_t>(d);
-  return true;
+  return read_uint(f, id, out, error);
 }
 
 bool read_id(const Fields& f, std::size_t id, std::uint32_t* out,
              std::string* error) {
-  double d = -1;
-  if (!f.number(id, /*required=*/false, -1, &d, error)) return false;
-  if (d >= 0) *out = static_cast<std::uint32_t>(d);
-  return true;
+  return read_uint(f, id, out, error);
 }
 
 template <class IdT>
 bool read_strong_id(const Fields& f, std::size_t id, IdT* out,
                     std::string* error) {
-  double d = -1;
-  if (!f.number(id, /*required=*/false, -1, &d, error)) return false;
-  if (d >= 0) *out = IdT(static_cast<typename IdT::value_type>(d));
+  typename IdT::value_type v = out->value();
+  if (!read_uint(f, id, &v, error)) return false;
+  *out = IdT(v);
   return true;
 }
 
@@ -248,17 +264,13 @@ bool read_clean(const Fields& f, obs::TraceEvent* e, std::string* error) {
     *error = "field \"clean\" is only valid on a refresh span";
     return false;
   }
-  double clean = 0;
-  if (!f.number(F("clean"), /*required=*/true, 0, &clean, error)) return false;
-  if (!(clean >= 0 && clean < 4294967296.0) || clean != std::floor(clean)) {
-    *error = "field \"clean\" must be an integer in [0, 2^32)";
-    return false;
-  }
+  std::uint32_t clean = 0;
+  if (!read_uint(f, F("clean"), &clean, error)) return false;
   if (clean > e->span_attempts) {
     *error = "field \"clean\" exceeds the refresh's attempts";
     return false;
   }
-  e->span_clean = static_cast<std::uint32_t>(clean);
+  e->span_clean = clean;
   return true;
 }
 
@@ -377,13 +389,13 @@ bool read_profile(std::string_view text, obs::SnapshotStats* stats,
 
 bool read_snapshot(const Fields& f, obs::TraceEvent* e, std::string* error) {
   auto stats = std::make_shared<obs::SnapshotStats>();
-  double flows = 0;
-  double elephants = 0;
-  double depth = 0;
+  std::uint64_t flows = 0;
+  std::uint64_t elephants = 0;
+  std::uint64_t depth = 0;
   if (!read_u64(f, F("seq"), &stats->seq, error) ||
-      !read_double(f, F("flows"), &flows, error) ||
-      !read_double(f, F("elephants"), &elephants, error) ||
-      !read_double(f, F("queue_depth"), &depth, error) ||
+      !read_u64(f, F("flows"), &flows, error) ||
+      !read_u64(f, F("elephants"), &elephants, error) ||
+      !read_u64(f, F("queue_depth"), &depth, error) ||
       !read_double(f, F("throughput_bps"), &stats->throughput_bps, error) ||
       !read_double(f, F("max_utilization"), &stats->max_utilization, error) ||
       !read_double(f, F("rss_bytes"), &stats->rss_bytes, error) ||
@@ -412,12 +424,19 @@ bool decode(const Fields& f, obs::TraceEvent* out, std::string* error) {
   double version = 0;
   if (!f.number(F("v"), /*required=*/true, 0, &version, error)) return false;
   // Backward-compatible window: a v2 line is a valid v3 line (v3 only adds
-  // the snapshot kind). Older or newer schemas are refused outright.
-  if (static_cast<int>(version) < obs::kMinReadableTraceSchemaVersion ||
-      static_cast<int>(version) > obs::kTraceSchemaVersion) {
+  // the snapshot kind). Older or newer schemas are refused outright. The
+  // window is checked on the double: a version past int's range has no
+  // defined cast, and the refusal names it as a number.
+  if (!(version >= obs::kMinReadableTraceSchemaVersion &&
+        version < obs::kTraceSchemaVersion + 1)) {
     std::ostringstream os;
-    os << "unsupported trace schema version " << static_cast<int>(version)
-       << " (this dardscope reads versions "
+    os << "unsupported trace schema version ";
+    if (std::fabs(version) < 2147483648.0) {
+      os << static_cast<int>(version);
+    } else {
+      os << version;
+    }
+    os << " (this dardscope reads versions "
        << obs::kMinReadableTraceSchemaVersion << ".."
        << obs::kTraceSchemaVersion << "; re-run dardsim to regenerate the "
        << "trace)";
@@ -437,16 +456,13 @@ bool decode(const Fields& f, obs::TraceEvent* out, std::string* error) {
 
   bool ok = true;
   switch (e.kind) {
-    case TraceEventKind::FlowArrive: {
-      double size = 0;
+    case TraceEventKind::FlowArrive:
       ok = read_strong_id(f, F("flow"), &e.flow, error) &&
            read_strong_id(f, F("src"), &e.src_host, error) &&
            read_strong_id(f, F("dst"), &e.dst_host, error) &&
-           read_double(f, F("size"), &size, error) &&
+           read_u64(f, F("size"), &e.size, error) &&
            read_id(f, F("path"), &e.path_to, error);
-      e.size = static_cast<Bytes>(size);
       break;
-    }
     case TraceEventKind::FlowElephant:
       ok = read_strong_id(f, F("flow"), &e.flow, error) &&
            read_id(f, F("path"), &e.path_to, error);
@@ -460,13 +476,10 @@ bool decode(const Fields& f, obs::TraceEvent* out, std::string* error) {
            read_double(f, F("bonf_delta"), &e.gain, error) &&
            read_u64(f, F("cause_id"), &e.cause_id, error);
       break;
-    case TraceEventKind::FlowComplete: {
-      double size = 0;
+    case TraceEventKind::FlowComplete:
       ok = read_strong_id(f, F("flow"), &e.flow, error) &&
-           read_double(f, F("size"), &size, error);
-      e.size = static_cast<Bytes>(size);
+           read_u64(f, F("size"), &e.size, error);
       break;
-    }
     case TraceEventKind::DardRound:
       ok = read_strong_id(f, F("host"), &e.src_host, error) &&
            read_strong_id(f, F("dst_tor"), &e.dst_host, error) &&

@@ -191,9 +191,12 @@ Path PathGenerator::path(NodeId src_tor, NodeId dst_tor,
 
 std::vector<Path> PathGenerator::all(NodeId src_tor, NodeId dst_tor) const {
   std::vector<Path> out;
-  for_each_path(src_tor, dst_tor, [&](std::span<const LinkId> links) {
-    out.push_back(make_path(src_tor, links));
-  });
+  for_each_path(src_tor, dst_tor,
+                [&](std::span<const LinkId> links,
+                    std::span<const NodeId> nodes) {
+                  out.push_back(Path{{nodes.begin(), nodes.end()},
+                                     {links.begin(), links.end()}});
+                });
   return out;
 }
 

@@ -37,7 +37,8 @@
 // probe and no per-candidate walk. path_links() is that walk, writing the
 // path's links to a caller's buffer without allocating; path() is built on
 // it. for_each_path() walks the same tables in index order and hands each
-// path's links to a callback without allocating; all() is built on it. At
+// path's links and nodes to a callback without allocating or reading the
+// topology; all() is built on it. At
 // k=32 the tables take ~2 MB (one drop per (ToR, core) pair on a fat tree).
 //
 // Flow placement and installation therefore need no path set: agents hash
@@ -89,10 +90,12 @@ class PathGenerator {
   std::size_t path_links(NodeId src_tor, NodeId dst_tor, std::size_t index,
                          LinkId out[kMaxTorPathLinks]) const;
 
-  // Calls visit(links) once per path in index order, links being a
-  // std::span<const LinkId> over the path's directed links that is valid
-  // only during the call (empty for the one s == d path). Allocates
-  // nothing.
+  // Calls visit(links, nodes) once per path in index order: links is a
+  // std::span<const LinkId> over the path's directed links (empty for the
+  // one s == d path) and nodes a std::span<const NodeId> over its nodes,
+  // src ToR to dst ToR, so link j runs from nodes[j] to nodes[j + 1]. Both
+  // are valid only during the call. Reads no topology structure and
+  // allocates nothing.
   template <class Visit>
   void for_each_path(NodeId src_tor, NodeId dst_tor, Visit&& visit) const;
 
@@ -166,26 +169,33 @@ template <class Visit>
 void PathGenerator::for_each_path(NodeId src_tor, NodeId dst_tor,
                                   Visit&& visit) const {
   check_tors(src_tor, dst_tor);
+  NodeId nodes[kMaxTorPathLinks + 1];
+  nodes[0] = src_tor;
   if (src_tor == dst_tor) {
-    visit(std::span<const LinkId>{});
+    visit(std::span<const LinkId>{}, std::span<const NodeId>(nodes, 1));
     return;
   }
   LinkId links[kMaxTorPathLinks];
   const Edge* const ue = up_end(src_tor);
   const Edge* const fe = feeds_end(dst_tor);
   const Edge* f = feeds_begin(dst_tor);
+  nodes[2] = dst_tor;
   for (const Edge* m = up_begin(src_tor); m != ue; ++m) {
     if (!feeds(f, fe, m->node)) continue;
     links[0] = m->link;
     links[1] = f->link;
-    visit(std::span<const LinkId>(links, 2));
+    nodes[1] = m->node;
+    visit(std::span<const LinkId>(links, 2), std::span<const NodeId>(nodes, 3));
   }
   const std::uint32_t* const row = drop_row(dst_tor);
+  nodes[4] = dst_tor;
   for (const Edge* a = up_begin(src_tor); a != ue; ++a) {
     links[0] = a->link;
+    nodes[1] = a->node;
     for (const Edge *c = up_begin(a->node), *ce = up_end(a->node); c != ce;
          ++c) {
       links[1] = c->link;
+      nodes[2] = c->node;
       for (const Drop *p = drops_.data() + row[c->ord],
                       *pe = drops_.data() + row[c->ord + 1];
            p != pe; ++p) {
@@ -194,7 +204,9 @@ void PathGenerator::for_each_path(NodeId src_tor, NodeId dst_tor,
         if (p->agg == a->node) continue;
         links[2] = p->down;
         links[3] = p->last;
-        visit(std::span<const LinkId>(links, 4));
+        nodes[3] = p->agg;
+        visit(std::span<const LinkId>(links, 4),
+              std::span<const NodeId>(nodes, 5));
       }
     }
   }

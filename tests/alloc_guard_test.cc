@@ -1,6 +1,8 @@
 // Allocation guards. The packet hop: once a PacketNetwork and its
 // EventQueue have carried one burst, a second burst of data packets and
-// ACKs along 6-hop routes allocates nothing. dardscope's load: reading and
+// ACKs along 6-hop routes allocates nothing. DARD monitors: a k=32
+// inter-pod monitor holds a bounded heap, and once warm a refresh plus the
+// round's propose() allocate nothing. dardscope's load: reading and
 // reporting a large run dir stays within a fixed heap budget, because the
 // trace is digested as it is read. This binary replaces the global operator
 // new with a counting one, which is why it stands alone.
@@ -15,7 +17,11 @@
 #include <string>
 #include <vector>
 
+#include "baselines/ecmp.h"
+#include "dard/monitor.h"
+#include "fabric/wire.h"
 #include "flowsim/event_queue.h"
+#include "flowsim/simulator.h"
 #include "harness/manifest.h"
 #include "obs/trace.h"
 #include "pktsim/network.h"
@@ -178,6 +184,69 @@ TEST_F(PacketHopAllocations, WarmBurstAllocatesNothing) {
 
 }  // namespace
 }  // namespace dard::pktsim
+
+namespace dard::core {
+namespace {
+
+// An idle k=32 fat tree and a monitor between ToRs of different pods: 256
+// paths, 544 links, 289 queried switches.
+class MonitorAllocations : public ::testing::Test {
+ protected:
+  MonitorAllocations() : t_(make_fabric()), sim_(t_) {
+    sim_.set_agent(&agent_);
+  }
+  static topo::Topology make_fabric() {
+    topo::FatTreeParams p;
+    p.p = 32;
+    return topo::build_fat_tree(p);
+  }
+  [[nodiscard]] NodeId src() const { return t_.tors().front(); }
+  [[nodiscard]] NodeId dst() const { return t_.tors().back(); }
+
+  topo::Topology t_;
+  flowsim::FlowSimulator sim_;
+  baselines::EcmpAgent agent_;
+};
+
+// What one live monitor costs its host's heap, its build scratch (shared by
+// the thread's builds) already grown by an earlier build.
+constexpr std::size_t kMonitorHeapBudget = 32 << 10;
+
+TEST_F(MonitorAllocations, InterPodMonitorHoldsItsBudget) {
+  { const PathMonitor warm(sim_, src(), dst()); }
+  const std::size_t live = g_live_bytes;
+  const PathMonitor monitor(sim_, src(), dst());
+  ASSERT_EQ(monitor.path_count(), 256u);
+  const std::size_t held = g_live_bytes - live;
+  EXPECT_LE(held, kMonitorHeapBudget) << held << " bytes";
+  RecordProperty("monitor_heap_bytes", static_cast<int>(held));
+}
+
+TEST_F(MonitorAllocations, WarmRefreshAndProposeAllocateNothing) {
+  const fabric::StateQueryService service(sim_.link_state(),
+                                          &sim_.accountant());
+  const DardConfig cfg;
+  PathMonitor monitor(sim_, src(), dst());
+  monitor.add_flow(FlowId(0), 0);
+  Rng rng(1);
+  std::vector<obs::QueryExchange> exchanges;
+  auto round = [&] {
+    monitor.refresh(3.0, service, cfg, &exchanges);
+    RoundEvaluation eval;
+    (void)monitor.propose(cfg.delta, rng, &eval);
+    EXPECT_TRUE(eval.considered);
+  };
+  round();  // grows the accountant's buckets and the exchange list
+
+  const std::size_t before = g_allocations;
+  for (int i = 0; i < 8; ++i) round();
+  EXPECT_EQ(g_allocations - before, 0u);
+  EXPECT_EQ(sim_.accountant().message_count(), 9 * 2 * 289u);
+  EXPECT_EQ(exchanges.size(), 289u);
+}
+
+}  // namespace
+}  // namespace dard::core
 
 namespace dard::scope {
 namespace {

@@ -6,11 +6,15 @@
 // byte-identical output, and the same accept/reject decisions and fields.
 // The only intended difference is json::kMaxDepth, which this parser lacks.
 // The renderer and the decoder also carry schema v6's refresh "clean" count
-// and its range checks, so the fuzzer holds both readers to one rule.
+// and the readers' integer rule (a present integer field is a whole number
+// its type holds, else the line fails), so the fuzzer holds both readers to
+// one rule.
 #pragma once
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <ostream>
 #include <sstream>
@@ -379,33 +383,43 @@ using scope::fault_action_from_string;
 using scope::kind_from_string;
 using scope::span_kind_from_string;
 
-// Optional numeric field with a typed destination; absent fields keep the
-// TraceEvent default, mistyped fields fail the line.
+// Optional integer field of an unsigned 32- or 64-bit type: absent fields
+// keep the TraceEvent default; a present one must be a whole number the
+// type holds, else the line fails.
+template <class UInt>
+inline bool read_uint(const json::Value& obj, const char* key, UInt* out,
+                      std::string* error) {
+  constexpr bool k32 = std::numeric_limits<UInt>::digits == 32;
+  if (obj.object.count(key) == 0) return true;
+  double d = 0;
+  if (!json::get_number(obj, key, /*required=*/true, 0, &d, error))
+    return false;
+  if (!(d >= 0 && d < (k32 ? 4294967296.0 : 18446744073709551616.0)) ||
+      d != std::trunc(d)) {
+    *error = std::string("field \"") + key + "\" must be an integer in [0, 2^" +
+             (k32 ? "32" : "64") + ")";
+    return false;
+  }
+  *out = static_cast<UInt>(d);
+  return true;
+}
+
 inline bool read_u64(const json::Value& obj, const char* key,
                      std::uint64_t* out, std::string* error) {
-  double d = -1;
-  if (!json::get_number(obj, key, /*required=*/false, -1, &d, error))
-    return false;
-  if (d >= 0) *out = static_cast<std::uint64_t>(d);
-  return true;
+  return read_uint(obj, key, out, error);
 }
 
 inline bool read_id(const json::Value& obj, const char* key,
                     std::uint32_t* out, std::string* error) {
-  double d = -1;
-  if (!json::get_number(obj, key, /*required=*/false, -1, &d, error))
-    return false;
-  if (d >= 0) *out = static_cast<std::uint32_t>(d);
-  return true;
+  return read_uint(obj, key, out, error);
 }
 
 template <class IdT>
 inline bool read_strong_id(const json::Value& obj, const char* key, IdT* out,
                            std::string* error) {
-  double d = -1;
-  if (!json::get_number(obj, key, /*required=*/false, -1, &d, error))
-    return false;
-  if (d >= 0) *out = IdT(static_cast<typename IdT::value_type>(d));
+  typename IdT::value_type v = out->value();
+  if (!read_uint(obj, key, &v, error)) return false;
+  *out = IdT(v);
   return true;
 }
 
@@ -431,11 +445,16 @@ inline bool parse_trace_line(const std::string& line, obs::TraceEvent* out,
     return false;
   // Backward-compatible window: a v2 line is a valid v3 line (v3 only adds
   // the snapshot kind). Older or newer schemas are refused outright.
-  if (static_cast<int>(version) < obs::kMinReadableTraceSchemaVersion ||
-      static_cast<int>(version) > obs::kTraceSchemaVersion) {
+  if (!(version >= obs::kMinReadableTraceSchemaVersion &&
+        version < obs::kTraceSchemaVersion + 1)) {
     std::ostringstream os;
-    os << "unsupported trace schema version " << static_cast<int>(version)
-       << " (this dardscope reads versions "
+    os << "unsupported trace schema version ";
+    if (std::fabs(version) < 2147483648.0) {
+      os << static_cast<int>(version);
+    } else {
+      os << version;
+    }
+    os << " (this dardscope reads versions "
        << obs::kMinReadableTraceSchemaVersion << ".."
        << obs::kTraceSchemaVersion << "; re-run dardsim to regenerate the "
        << "trace)";
@@ -455,16 +474,13 @@ inline bool parse_trace_line(const std::string& line, obs::TraceEvent* out,
 
   bool ok = true;
   switch (e.kind) {
-    case TraceEventKind::FlowArrive: {
-      double size = 0;
+    case TraceEventKind::FlowArrive:
       ok = read_strong_id(*root, "flow", &e.flow, error) &&
            read_strong_id(*root, "src", &e.src_host, error) &&
            read_strong_id(*root, "dst", &e.dst_host, error) &&
-           read_double(*root, "size", &size, error) &&
+           read_u64(*root, "size", &e.size, error) &&
            read_id(*root, "path", &e.path_to, error);
-      e.size = static_cast<Bytes>(size);
       break;
-    }
     case TraceEventKind::FlowElephant:
       ok = read_strong_id(*root, "flow", &e.flow, error) &&
            read_id(*root, "path", &e.path_to, error);
@@ -478,13 +494,10 @@ inline bool parse_trace_line(const std::string& line, obs::TraceEvent* out,
            read_double(*root, "bonf_delta", &e.gain, error) &&
            read_u64(*root, "cause_id", &e.cause_id, error);
       break;
-    case TraceEventKind::FlowComplete: {
-      double size = 0;
+    case TraceEventKind::FlowComplete:
       ok = read_strong_id(*root, "flow", &e.flow, error) &&
-           read_double(*root, "size", &size, error);
-      e.size = static_cast<Bytes>(size);
+           read_u64(*root, "size", &e.size, error);
       break;
-    }
     case TraceEventKind::DardRound:
       ok = read_strong_id(*root, "host", &e.src_host, error) &&
            read_strong_id(*root, "dst_tor", &e.dst_host, error) &&
@@ -512,13 +525,13 @@ inline bool parse_trace_line(const std::string& line, obs::TraceEvent* out,
     }
     case TraceEventKind::Snapshot: {
       auto stats = std::make_shared<obs::SnapshotStats>();
-      double flows = 0;
-      double elephants = 0;
-      double depth = 0;
+      std::uint64_t flows = 0;
+      std::uint64_t elephants = 0;
+      std::uint64_t depth = 0;
       ok = read_u64(*root, "seq", &stats->seq, error) &&
-           read_double(*root, "flows", &flows, error) &&
-           read_double(*root, "elephants", &elephants, error) &&
-           read_double(*root, "queue_depth", &depth, error) &&
+           read_u64(*root, "flows", &flows, error) &&
+           read_u64(*root, "elephants", &elephants, error) &&
+           read_u64(*root, "queue_depth", &depth, error) &&
            read_double(*root, "throughput_bps", &stats->throughput_bps,
                        error) &&
            read_double(*root, "max_utilization", &stats->max_utilization,
@@ -595,20 +608,13 @@ inline bool parse_trace_line(const std::string& line, obs::TraceEvent* out,
           *error = "field \"clean\" is only valid on a refresh span";
           return false;
         }
-        double clean = 0;
-        if (!json::get_number(*root, "clean", /*required=*/true, 0, &clean,
-                              error))
-          return false;
-        if (!(clean >= 0 && clean < 4294967296.0) ||
-            clean != static_cast<double>(static_cast<std::uint64_t>(clean))) {
-          *error = "field \"clean\" must be an integer in [0, 2^32)";
-          return false;
-        }
+        std::uint32_t clean = 0;
+        if (!read_uint(*root, "clean", &clean, error)) return false;
         if (clean > e.span_attempts) {
           *error = "field \"clean\" exceeds the refresh's attempts";
           return false;
         }
-        e.span_clean = static_cast<std::uint32_t>(clean);
+        e.span_clean = clean;
       }
       break;
     }

@@ -5,6 +5,7 @@
 
 #include "baselines/ecmp.h"
 #include "dard/monitor.h"
+#include "fabric/wire.h"
 #include "faults/fault_plan.h"
 #include "faults/injector.h"
 #include "flowsim/simulator.h"
@@ -381,21 +382,31 @@ TEST(ControlModelTest, LostExchangesChargeQueryBytesButNoReply) {
   model.set_degradation(1.0, 0.0);
   service.set_model(&model);
 
+  // Attempts charge nothing; the round's tally is charged once, a lost
+  // exchange with its query and no reply.
+  std::size_t delivered = 0;
   for (int i = 0; i < 5; ++i) {
-    const fabric::QueryAttempt qa = service.attempt_query(0.0);
+    const fabric::QueryAttempt qa = service.attempt_query();
     EXPECT_FALSE(qa.delivered);
+    if (qa.delivered) ++delivered;
   }
+  EXPECT_EQ(accountant.message_count(), 0u);
+  service.charge(0.0, 5, delivered);
   // The host sent 5 queries into the void: query bytes accounted, zero
   // reply bytes, counters consistent.
-  EXPECT_GT(accountant.total_bytes(fabric::ControlCategory::DardQuery), 0u);
+  EXPECT_EQ(accountant.total_bytes(fabric::ControlCategory::DardQuery),
+            5 * fabric::kDardQueryBytes);
   EXPECT_EQ(accountant.total_bytes(fabric::ControlCategory::DardReply), 0u);
+  EXPECT_EQ(accountant.message_count(), 5u);
   EXPECT_EQ(model.attempts(), 5u);
   EXPECT_EQ(model.lost(), 5u);
 
   model.clear_degradation();
-  const fabric::QueryAttempt qa = service.attempt_query(0.0);
+  const fabric::QueryAttempt qa = service.attempt_query();
   EXPECT_TRUE(qa.delivered);
-  EXPECT_GT(accountant.total_bytes(fabric::ControlCategory::DardReply), 0u);
+  service.charge(0.0, 1, qa.delivered ? 1 : 0);
+  EXPECT_EQ(accountant.total_bytes(fabric::ControlCategory::DardReply),
+            fabric::kDardReplyBytes);
 }
 
 // --------------------------------------------- PathMonitor fault hardening

@@ -42,12 +42,55 @@ TEST(LatencyHistogram, OverflowBucketIsClosedBelowAndOpenAbove) {
 TEST(LatencyHistogram, EveryLowerEdgeBelongsToItsOwnBucket) {
   // The boundary contract: bucket_lo(b) is the first value of bucket b,
   // and the value immediately below it belongs to bucket b-1. This pins
-  // the edge-nudging in bucket_of against the pow-computed edges.
+  // bucket_of's edge search against the pow-computed edges.
   for (std::size_t b = 1; b + 1 < Hist::kBuckets; ++b) {
     const double edge = Hist::bucket_lo(b);
     EXPECT_EQ(Hist::bucket_of(edge), b) << "edge of bucket " << b;
     EXPECT_EQ(Hist::bucket_of(std::nextafter(edge, 0.0)), b - 1)
         << "value just below edge of bucket " << b;
+  }
+}
+
+// The bucket search before the edge table: a log10 position nudged one
+// bucket across the pow-computed edges. Kept to hold the table to it.
+std::size_t log_bucket_of(Seconds s) {
+  const auto lo = [](std::size_t b) -> Seconds {
+    if (b == 0) return 0;
+    return Hist::kMinSeconds *
+           std::pow(10.0, static_cast<double>(b - 1) /
+                              static_cast<double>(Hist::kBucketsPerDecade));
+  };
+  if (!(s >= Hist::kMinSeconds)) return 0;
+  if (s >= Hist::kMaxSeconds) return Hist::kBuckets - 1;
+  auto idx = static_cast<std::size_t>(
+      std::log10(s / Hist::kMinSeconds) *
+      static_cast<double>(Hist::kBucketsPerDecade));
+  if (idx >= Hist::kBuckets - 2) idx = Hist::kBuckets - 3;
+  std::size_t b = idx + 1;
+  if (s >= lo(b + 1)) ++b;
+  else if (s < lo(b)) --b;
+  return b;
+}
+
+TEST(LatencyHistogram, EdgeTableMatchesTheLogSearch) {
+  for (std::size_t b = 0; b < Hist::kBuckets; ++b) {
+    const double edge = Hist::bucket_lo(b);
+    for (const double s :
+         {edge, std::nextafter(edge, 0.0), std::nextafter(edge, 1e300)}) {
+      EXPECT_EQ(Hist::bucket_of(s), log_bucket_of(s))
+          << "bucket " << b << ", s = " << s;
+    }
+  }
+  for (const double s : {0.0, -1.0, Hist::kMinSeconds, Hist::kMaxSeconds,
+                         std::nextafter(Hist::kMaxSeconds, 0.0), 1e300,
+                         std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()})
+    EXPECT_EQ(Hist::bucket_of(s), log_bucket_of(s)) << s;
+  // Log-uniform over the range and two decades past each end.
+  Rng rng(4);
+  for (int i = 0; i < 200'000; ++i) {
+    const double s = std::pow(10.0, rng.uniform(-9.0, 3.0));
+    ASSERT_EQ(Hist::bucket_of(s), log_bucket_of(s)) << s;
   }
 }
 

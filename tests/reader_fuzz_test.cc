@@ -3,8 +3,9 @@
 //
 // The corpus in tests/data/ comes from CI-shaped run dirs: one trace line per
 // event kind, span kind and fault action, a snapshot with counters and a
-// profile, v6 lines (a refresh carrying "clean" and a retried query), a
-// manifest, a fault plan, and link-sample rows. Each iteration
+// profile, v6 lines (a refresh carrying "clean" and a retried query),
+// lines with integer fields at their types' bounds, a manifest, a fault
+// plan, and link-sample rows. Each iteration
 // mutates it with byte flips, truncations, splices between lines, duplicated
 // keys, inserted whitespace and runs of '[' / '{', then requires that
 //   - no reader crashes (the sanitizer build turns memory errors into
@@ -226,7 +227,7 @@ class Mutator {
 
 TEST(ReaderFuzz, TraceLinesDecodeAsTheReferenceDecoderDoes) {
   const std::vector<std::string> corpus = read_lines("trace_corpus.jsonl");
-  ASSERT_GE(corpus.size(), 22u);
+  ASSERT_GE(corpus.size(), 24u);
   // The unmutated corpus decodes, and identically.
   for (const std::string& line : corpus) {
     obs::TraceEvent got, want;
@@ -324,6 +325,77 @@ TEST(ReaderFuzz, HostileCleanCountsAreLineNumberedErrors) {
     ASSERT_TRUE(scope::parse_trace_line(line, &e, &error)) << error;
     EXPECT_EQ(e.span_clean, n);
   }
+}
+
+// Integer fields (ids, path indices, counts, bytes, sizes). A present value
+// that is negative, fractional or past its type's range fails the load with
+// its line number, as "clean" does; casting it would be undefined. Whole
+// numbers in range read, whatever their spelling.
+TEST(ReaderFuzz, HostileIntegerFieldsAreLineNumberedErrors) {
+  const std::string query =
+      R"({"v":6,"kind":"span","t":1,"span":"query","id":2,"parent":1,)"
+      R"("host":10,"peer":0,"timeouts":0,"lost":0,"bytes":80,"dur_s":0,)"
+      R"("ok":true)";
+  const std::string arrive =
+      R"({"v":6,"kind":"flow_arrive","t":1,"flow":3,"src":10,"dst":18,)"
+      R"("path":0)";
+  const std::string snapshot =
+      R"({"v":6,"kind":"snapshot","t":1,"seq":4,"elephants":0)";
+  const auto u32 = [](const char* name) {
+    return "field \"" + std::string(name) + "\" must be an integer in [0, 2^32)";
+  };
+  const auto u64 = [](const char* name) {
+    return "field \"" + std::string(name) + "\" must be an integer in [0, 2^64)";
+  };
+  const std::pair<std::string, std::string> cases[] = {
+      {query + R"(,"attempts":1e10})", u32("attempts")},
+      {query + R"(,"attempts":-1})", u32("attempts")},
+      {query + R"(,"attempts":1.5})", u32("attempts")},
+      {query + R"(,"attempts":4294967296})", u32("attempts")},
+      {query + R"(,"attempts":1,"peer":-4})", u32("peer")},
+      {query + R"(,"attempts":1,"host":1e300})", u32("host")},
+      {query + R"(,"attempts":1,"id":-1})", u64("id")},
+      {query + R"(,"attempts":1,"parent":0.25})", u64("parent")},
+      {query + R"(,"attempts":1,"bytes":18446744073709551616})", u64("bytes")},
+      {arrive + R"(,"size":-1})", u64("size")},
+      {arrive + R"(,"size":1e30})", u64("size")},
+      {arrive + R"(,"size":1,"flow":-0.5})", u32("flow")},
+      {snapshot + R"(,"flows":2.5})", u64("flows")},
+      {snapshot + R"(,"queue_depth":-3})", u64("queue_depth")},
+      {R"({"v":1e10,"kind":"flow_elephant","t":1,"flow":0,"path":0})",
+       "unsupported trace schema version 1e+10 (this dardscope reads versions "
+       "2..6; re-run dardsim to regenerate the trace)"},
+  };
+  const std::string path = testing::TempDir() + "/hostile_integers.jsonl";
+  const std::string first = read_lines("trace_corpus.jsonl").front();
+  for (const auto& [line, error] : cases) {
+    SCOPED_TRACE(line);
+    {
+      std::ofstream out(path);
+      out << first << '\n' << line << '\n';
+    }
+    scope::RunData run;
+    std::string got;
+    EXPECT_FALSE(scope::load_run(path, &run, &got));
+    EXPECT_EQ(got, path + ":2: " + error);
+    obs::TraceEvent e;
+    std::string want;
+    EXPECT_FALSE(codec_ref::parse_trace_line(line, &e, &want));
+    EXPECT_EQ(want, error);
+  }
+
+  // At the bounds, and spelled with an exponent, they read.
+  obs::TraceEvent e;
+  std::string error;
+  ASSERT_TRUE(scope::parse_trace_line(query + R"(,"attempts":4294967295})",
+                                      &e, &error))
+      << error;
+  EXPECT_EQ(e.span_attempts, 4294967295u);
+  ASSERT_TRUE(scope::parse_trace_line(
+      query + R"(,"attempts":1e3,"id":18446744073709549568})", &e, &error))
+      << error;
+  EXPECT_EQ(e.span_attempts, 1000u);
+  EXPECT_EQ(e.cause_id, 18446744073709549568u);
 }
 
 TEST(ReaderFuzz, JsonDocumentsParseAsTheReferenceParserDoes) {
