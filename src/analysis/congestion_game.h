@@ -68,8 +68,6 @@ class CongestionGame {
   void move(std::size_t f, std::uint32_t route);
 
  private:
-  void add_route(const std::vector<LinkId>& route, int direction);
-
   const topo::Topology* topo_;
   std::vector<GameFlow> flows_;
   std::vector<std::uint32_t> flows_on_;  // link -> flow count

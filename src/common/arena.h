@@ -33,10 +33,6 @@ class PooledLists {
   PooledLists() = default;
   explicit PooledLists(std::size_t keys) : lists_(keys) {}
 
-  // Grows the key space (never shrinks; existing lists are untouched).
-  void resize_keys(std::size_t keys) {
-    if (keys > lists_.size()) lists_.resize(keys);
-  }
   [[nodiscard]] std::size_t keys() const { return lists_.size(); }
 
   [[nodiscard]] std::span<const T> items(std::size_t k) const {

@@ -74,7 +74,6 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t buckets);
 
   void add(double x);
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
   [[nodiscard]] std::size_t count_in(std::size_t bucket) const;
   [[nodiscard]] std::size_t total() const { return total_; }
   [[nodiscard]] double bucket_lo(std::size_t bucket) const;

@@ -5,9 +5,10 @@
 //   dard::flowsim::FlowSimulator sim(topo);
 //   dard::core::DardAgent agent;
 //   sim.set_agent(&agent);
+//   dard::traffic::WorkloadParams workload;  // pattern, rate, flow size
 //   for (auto& spec : dard::traffic::generate_workload(topo, workload))
 //     sim.submit(spec);
-//   sim.run_to_completion();
+//   sim.run_until_flows_done();
 //   // sim.records() now holds every flow's transfer time and path switches.
 #pragma once
 

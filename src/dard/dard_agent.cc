@@ -129,48 +129,6 @@ std::size_t DardAgent::live_monitor_count() const {
   return n;
 }
 
-std::size_t DardAgent::total_query_attempts() const {
-  std::size_t n = 0;
-  for (const auto& d : daemons_)
-    if (d) n += d->query_attempts();
-  return n;
-}
-
-std::size_t DardAgent::total_query_lost() const {
-  std::size_t n = 0;
-  for (const auto& d : daemons_)
-    if (d) n += d->query_lost();
-  return n;
-}
-
-std::size_t DardAgent::total_query_timeouts() const {
-  std::size_t n = 0;
-  for (const auto& d : daemons_)
-    if (d) n += d->query_timeouts();
-  return n;
-}
-
-std::size_t DardAgent::total_query_retries() const {
-  std::size_t n = 0;
-  for (const auto& d : daemons_)
-    if (d) n += d->query_retries();
-  return n;
-}
-
-std::size_t DardAgent::total_fallback_rounds() const {
-  std::size_t n = 0;
-  for (const auto& d : daemons_)
-    if (d) n += d->fallback_rounds();
-  return n;
-}
-
-std::size_t DardAgent::blacklisted_paths() const {
-  std::size_t n = 0;
-  for (const auto& d : daemons_)
-    if (d) n += d->blacklisted_paths();
-  return n;
-}
-
 std::size_t DardAgent::deployed_hosts() const {
   std::size_t n = 0;
   for (std::size_t i = 0; i < deployed_.size(); ++i)

@@ -53,14 +53,6 @@ class DardAgent : public fabric::ControlAgent {
   }
   [[nodiscard]] std::size_t deployed_hosts() const;
 
-  // Recovery-hardening aggregates across all daemons (DESIGN.md §11).
-  [[nodiscard]] std::size_t total_query_attempts() const;
-  [[nodiscard]] std::size_t total_query_lost() const;
-  [[nodiscard]] std::size_t total_query_timeouts() const;
-  [[nodiscard]] std::size_t total_query_retries() const;
-  [[nodiscard]] std::size_t total_fallback_rounds() const;
-  [[nodiscard]] std::size_t blacklisted_paths() const;
-
  private:
   DardHostDaemon& daemon_for(fabric::DataPlane& net, NodeId host);
 

@@ -19,10 +19,6 @@ DardHostDaemon::DardHostDaemon(fabric::DataPlane& net,
       counters_(counters) {}
 
 void DardHostDaemon::account_refresh(const RefreshStats& stats) {
-  query_attempts_ += stats.queries;
-  query_timeouts_ += stats.timeouts;
-  query_lost_ += stats.lost;
-  query_retries_ += stats.retries;
   if (counters_ == nullptr) return;
   if (counters_->monitor_queries != nullptr)
     counters_->monitor_queries->add(stats.queries);
@@ -207,11 +203,9 @@ void DardHostDaemon::run_round() {
     RoundEvaluation eval;
     const auto move = monitor.propose(cfg_->delta, rng_, &eval);
     if (observer != nullptr) evals.emplace_back(dst_tor, eval);
-    if (eval.fallback) {
-      ++fallback_rounds_;
-      if (counters_ != nullptr && counters_->fallback_rounds != nullptr)
-        counters_->fallback_rounds->add();
-    }
+    if (eval.fallback && counters_ != nullptr &&
+        counters_->fallback_rounds != nullptr)
+      counters_->fallback_rounds->add();
     if (count && eval.considered && !eval.passed_delta)
       counters_->delta_rejections->add();
     if (move) ++proposed;

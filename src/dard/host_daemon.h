@@ -69,16 +69,6 @@ class DardHostDaemon {
   [[nodiscard]] std::size_t total_moves() const { return total_moves_; }
   [[nodiscard]] const PathMonitor* monitor_for(NodeId dst_tor) const;
 
-  // Recovery-hardening telemetry, daemon-lifetime totals.
-  [[nodiscard]] std::size_t query_attempts() const { return query_attempts_; }
-  [[nodiscard]] std::size_t query_timeouts() const { return query_timeouts_; }
-  [[nodiscard]] std::size_t query_lost() const { return query_lost_; }
-  [[nodiscard]] std::size_t query_retries() const { return query_retries_; }
-  [[nodiscard]] std::size_t fallback_rounds() const {
-    return fallback_rounds_;
-  }
-  [[nodiscard]] std::size_t blacklisted_paths() const;
-
  private:
   void ensure_query_ticking();
   void ensure_round_scheduled();
@@ -88,9 +78,11 @@ class DardHostDaemon {
   // the monotonicity invariant; no-op otherwise.
   void report_incarnation() const;
 
-  // Folds one refresh's outcome into counters and daemon totals; emits
-  // nothing when metrics are disabled.
+  // Folds one refresh's outcome into the dard.* counters; does nothing
+  // when metrics are disabled. Its messages are already on the ledger.
   void account_refresh(const RefreshStats& stats);
+  // Blacklisted paths across this daemon's monitors.
+  [[nodiscard]] std::size_t blacklisted_paths() const;
   // One monitor refresh with span tracing when a recorder is attached to
   // the data plane: collects per-switch exchanges and reports them. With no
   // recorder this is account_refresh(refresh(...)) exactly — one branch.
@@ -114,11 +106,6 @@ class DardHostDaemon {
   // when the daemon died can never act on the reborn daemon's state.
   std::uint64_t incarnation_ = 1;
   std::size_t total_moves_ = 0;
-  std::size_t query_attempts_ = 0;
-  std::size_t query_timeouts_ = 0;
-  std::size_t query_lost_ = 0;
-  std::size_t query_retries_ = 0;
-  std::size_t fallback_rounds_ = 0;
   // Per-refresh scratch for span tracing; only populated (and only
   // allocated) when a SpanRecorder is attached.
   std::vector<obs::QueryExchange> span_scratch_;

@@ -24,7 +24,7 @@ void ControlPlaneAccountant::record(Seconds now, Bytes bytes,
   if (buckets_.size() <= bucket) buckets_.resize(bucket + 1, 0.0);
   const Bytes charged = bytes * messages;
   buckets_[bucket] += static_cast<double>(charged);
-  messages_ += messages;
+  messages_by_category_[static_cast<std::size_t>(category)] += messages;
   total_by_category_[static_cast<std::size_t>(category)] += charged;
   if (counter_ != nullptr) counter_->add(messages);
 }
@@ -37,6 +37,12 @@ Bytes ControlPlaneAccountant::total_bytes() const {
 
 Bytes ControlPlaneAccountant::total_bytes(ControlCategory category) const {
   return total_by_category_[static_cast<std::size_t>(category)];
+}
+
+std::size_t ControlPlaneAccountant::message_count() const {
+  std::size_t total = 0;
+  for (const std::size_t n : messages_by_category_) total += n;
+  return total;
 }
 
 std::vector<double> ControlPlaneAccountant::rate_series(Seconds horizon) const {
@@ -62,7 +68,7 @@ double ControlPlaneAccountant::mean_rate(Seconds horizon) const {
 
 void ControlPlaneAccountant::clear() {
   buckets_.clear();
-  messages_ = 0;
+  for (std::size_t& n : messages_by_category_) n = 0;
   for (Bytes& b : total_by_category_) b = 0;
 }
 

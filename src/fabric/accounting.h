@@ -1,10 +1,13 @@
-// Control-plane traffic accounting.
+// Control-plane traffic accounting: the run's one ledger of control
+// messages (DESIGN.md §17).
 //
 // Every control message (DARD state queries/replies, centralized-scheduler
-// reports/updates) is recorded here so benches can report control bandwidth
-// over time (paper Figure 15). Messages are aggregated into one-second
-// buckets at record time — large simulations emit hundreds of millions of
-// control messages, so per-message event logs are not an option.
+// reports/updates) is recorded here, counted and sized per category, so
+// benches can report control bandwidth over time (paper Figure 15) and the
+// harness can report query exchanges and losses. Each fabric::DataPlane
+// owns one. Bytes are aggregated into one-second buckets at record time —
+// large simulations emit hundreds of millions of control messages, so
+// per-message event logs are not an option.
 #pragma once
 
 #include <cstddef>
@@ -43,7 +46,10 @@ class ControlPlaneAccountant {
 
   [[nodiscard]] Bytes total_bytes() const;
   [[nodiscard]] Bytes total_bytes(ControlCategory category) const;
-  [[nodiscard]] std::size_t message_count() const { return messages_; }
+  [[nodiscard]] std::size_t message_count() const;
+  [[nodiscard]] std::size_t message_count(ControlCategory category) const {
+    return messages_by_category_[static_cast<std::size_t>(category)];
+  }
 
   // Bytes/second in one-second buckets over [0, horizon).
   [[nodiscard]] std::vector<double> rate_series(Seconds horizon) const;
@@ -54,7 +60,7 @@ class ControlPlaneAccountant {
 
  private:
   std::vector<double> buckets_;  // bytes per [i, i+1) second
-  std::size_t messages_ = 0;
+  std::size_t messages_by_category_[kControlCategories] = {};
   Bytes total_by_category_[kControlCategories] = {};
   obs::Counter* counter_ = nullptr;
 };

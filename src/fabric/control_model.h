@@ -63,19 +63,14 @@ class ControlPlaneModel {
     return snapshot_[lv];
   }
 
-  // One query/reply exchange: true when the exchange is lost. Counts every
-  // attempt so experiments can report queries lost without telemetry.
+  // One query/reply exchange: true when the exchange is lost. The model
+  // counts nothing: the exchange's query, and its reply unless lost, are
+  // charged to the data plane's ControlPlaneAccountant.
   [[nodiscard]] bool attempt_lost() {
-    ++attempts_;
     if (loss_ <= 0.0) return false;
-    const bool lost = loss_ >= 1.0 || rng_.bernoulli(loss_);
-    if (lost) ++lost_;
-    return lost;
+    return loss_ >= 1.0 || rng_.bernoulli(loss_);
   }
   [[nodiscard]] Seconds reply_delay() const { return delay_; }
-
-  [[nodiscard]] std::uint64_t attempts() const { return attempts_; }
-  [[nodiscard]] std::uint64_t lost() const { return lost_; }
 
  private:
   Rng rng_;
@@ -83,8 +78,6 @@ class ControlPlaneModel {
   Seconds delay_ = 0.0;
   bool stale_active_ = false;
   std::vector<std::pair<Bps, std::uint32_t>> snapshot_;
-  std::uint64_t attempts_ = 0;
-  std::uint64_t lost_ = 0;
 };
 
 }  // namespace dard::fabric

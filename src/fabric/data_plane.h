@@ -77,7 +77,13 @@ class DataPlane {
   // not read this directly — build a StateQueryService over it (and the
   // accountant) so every read is a modeled, accounted control message.
   [[nodiscard]] virtual const LinkStateBoard& link_state() const = 0;
-  virtual ControlPlaneAccountant& accountant() = 0;
+  // The run's one ledger of control messages, whichever substrate and
+  // agent send them: every count and byte total of control traffic is
+  // read from here.
+  [[nodiscard]] ControlPlaneAccountant& accountant() { return accountant_; }
+  [[nodiscard]] const ControlPlaneAccountant& accountant() const {
+    return accountant_;
+  }
 
   // Fails (or repairs) both directions of the cable between `a` and `b`.
   // Substrate semantics: the fluid simulator collapses the links' effective
@@ -89,10 +95,12 @@ class DataPlane {
   virtual void set_cable_failed(NodeId a, NodeId b, bool failed) = 0;
 
   // Control-plane degradation model for fault experiments; null (the
-  // default) means a perfect query channel. Agents pass this to their
+  // default) means a perfect query channel. The fault injector's model is
+  // installed before the agent starts; agents pass it to their
   // StateQueryService in start().
-  [[nodiscard]] virtual ControlPlaneModel* control_model() const {
-    return nullptr;
+  void set_control_model(ControlPlaneModel* model) { control_model_ = model; }
+  [[nodiscard]] ControlPlaneModel* control_model() const {
+    return control_model_;
   }
 
   // Whole-flow path change; packets/bytes already in flight stay on the old
@@ -163,6 +171,8 @@ class DataPlane {
   virtual void audit(Auditor& /*auditor*/) {}
 
  private:
+  ControlPlaneAccountant accountant_;
+  ControlPlaneModel* control_model_ = nullptr;  // borrowed; may be null
   std::uint64_t last_cause_id_ = 0;
   std::uint64_t move_cause_ = 0;
   Auditor* auditor_ = nullptr;

@@ -4,17 +4,6 @@
 
 namespace dard::fabric {
 
-std::vector<LinkState> StateQueryService::query_switch(NodeId sw,
-                                                       Seconds now) const {
-  const topo::Topology& t = board_->topology();
-  std::vector<LinkState> states;
-  const auto& out = t.out_links(sw);
-  states.reserve(out.size());
-  for (const LinkId l : out) states.push_back(link_state(l));
-  charge(now, 1, 1);
-  return states;
-}
-
 void StateQueryService::charge(Seconds now, std::size_t queries,
                                std::size_t replies) const {
   if (accountant_ == nullptr) return;

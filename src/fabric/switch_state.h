@@ -89,16 +89,10 @@ class StateQueryService {
   void set_model(ControlPlaneModel* model) { model_ = model; }
   [[nodiscard]] ControlPlaneModel* model() const { return model_; }
 
-  // State of every egress port of `sw`. Models one host->switch query and
-  // one switch->host reply (Fig. 15 accounting, charged through charge());
-  // `now` timestamps them. Serves the frozen snapshot during a stale window.
-  [[nodiscard]] std::vector<LinkState> query_switch(NodeId sw, Seconds now) const;
-
-  // Hot-path split of query_switch for monitors that pre-resolved which
-  // ports they need: run each exchange through the degradation model, read
-  // individual port states without materializing whole replies, and charge
-  // the whole round's messages at once. The payload is identical to what
-  // query_switch would have returned.
+  // One host->switch query and its switch->host reply, split for monitors
+  // that pre-resolved which ports they need: run each exchange through the
+  // degradation model, read individual port states without materializing
+  // whole replies, and charge the whole refresh's messages at once.
   //
   // attempt_query models one exchange and charges nothing; with no model
   // installed it is delivered with zero delay and draws nothing.
@@ -109,8 +103,10 @@ class StateQueryService {
   }
   // Charges `queries` queries and `replies` replies sent at `now` (a lost
   // exchange sends its query and no reply). The one place DARD's control
-  // messages reach the accountant.
+  // messages reach the accountant (Fig. 15 accounting).
   void charge(Seconds now, std::size_t queries, std::size_t replies) const;
+  // One egress port's state as a reply carries it; serves the frozen
+  // snapshot during a stale window.
   [[nodiscard]] LinkState link_state(LinkId l) const {
     if (model_ != nullptr && model_->stale_active()) {
       const auto [bw, flows] = model_->stale_state(l.value());

@@ -36,10 +36,6 @@ void RecoveryTracker::on_agent_restart(Seconds time) {
 
 RecoveryMetrics RecoveryTracker::finalize() const {
   RecoveryMetrics m;
-  if (model_ != nullptr) {
-    m.queries_attempted = model_->attempts();
-    m.queries_lost = model_->lost();
-  }
 
   // Post-restart reconvergence is independent of the goodput baseline: a
   // fault at t=0 has no pre-onset window, but a restarted daemon's

@@ -13,7 +13,6 @@
 #include <functional>
 #include <vector>
 
-#include "fabric/control_model.h"
 #include "faults/fault_plan.h"
 #include "flowsim/event_queue.h"
 
@@ -50,7 +49,10 @@ struct RecoveryMetrics {
   Seconds time_to_recover = -1;  // onset -> first sample back above the
                                  // recovery fraction; -1 = never recovered
   Seconds starvation_seconds = 0;
-  std::uint64_t queries_attempted = 0;  // control-plane exchanges modeled
+  // Control-plane query exchanges and lost ones, filled by the harness
+  // from the data plane's ledger: DardQuery messages, and DardQuery minus
+  // DardReply messages (a lost exchange sends its query and no reply).
+  std::uint64_t queries_attempted = 0;
   std::uint64_t queries_lost = 0;
   // Agent-level fault counts (filled by the harness from the injector).
   std::uint64_t agent_crashes = 0;
@@ -77,10 +79,6 @@ class RecoveryTracker {
   // emptiness, so the tail ticks simply never fire.
   void start();
 
-  // Reduces the samples collected so far (and, when a model is attached,
-  // its query counters) into metrics.
-  void set_model(const fabric::ControlPlaneModel* model) { model_ = model; }
-
   // Optional cumulative accepted-moves probe (DARD's total_moves). Sampled
   // alongside goodput; powers the post-restart reconvergence and
   // moves-churn metrics. Without it those metrics stay at their defaults.
@@ -93,9 +91,8 @@ class RecoveryTracker {
   // only reconverged once its final cold start has caught up.
   void on_agent_restart(Seconds time);
 
+  // Reduces the samples collected so far into metrics.
   [[nodiscard]] RecoveryMetrics finalize() const;
-
-  [[nodiscard]] std::size_t sample_count() const { return samples_.size(); }
 
  private:
   void tick();
@@ -118,7 +115,6 @@ class RecoveryTracker {
   double starvation_fraction_;
   Seconds churn_window_;
   Seconds onset_;
-  const fabric::ControlPlaneModel* model_ = nullptr;
   std::vector<Sample> samples_;
   std::vector<RestartMark> restarts_;
 };

@@ -124,10 +124,6 @@ void FlowSimulator::run_until_flows_done() {
                 "event queue drained before all flows finished");
 }
 
-double FlowSimulator::remaining_bytes(FlowId id) const {
-  return remaining_[id.value()];
-}
-
 void FlowSimulator::set_path_links(Flow& f, PathIndex index) {
   // [host uplink, ToR-to-ToR links, host downlink], laid out on the stack.
   LinkId links[6];

@@ -95,7 +95,6 @@ class FlowSimulator : public fabric::DataPlane {
   [[nodiscard]] const fabric::LinkStateBoard& link_state() const override {
     return board_;
   }
-  fabric::ControlPlaneAccountant& accountant() override { return accountant_; }
 
   [[nodiscard]] const Flow& flow(FlowId id) const {
     DCN_CHECK(id.value() < flows_.size());
@@ -175,13 +174,6 @@ class FlowSimulator : public fabric::DataPlane {
   // it has a deadline pending. Read-only.
   void audit(fabric::Auditor& auditor) override;
 
-  // Installs the control-plane degradation model (fault experiments only;
-  // see faults/injector.h). Must be set before the agent starts.
-  void set_control_model(fabric::ControlPlaneModel* model) { model_ = model; }
-  [[nodiscard]] fabric::ControlPlaneModel* control_model() const override {
-    return model_;
-  }
-
   // Re-route one active flow; a real path change counts as a path switch
   // and triggers reallocation.
   void move_flow(FlowId id, PathIndex new_path) override;
@@ -200,9 +192,6 @@ class FlowSimulator : public fabric::DataPlane {
   [[nodiscard]] std::size_t peak_active_elephants() const {
     return peak_active_elephants_;
   }
-  // Bytes-weighted progress check used by tests.
-  [[nodiscard]] double remaining_bytes(FlowId id) const;
-
   // A flow's two keyed timers on events(): its completion, and (while it is
   // a mouse) its elephant promotion.
   [[nodiscard]] static std::uint32_t completion_key(FlowId id) {
@@ -231,10 +220,8 @@ class FlowSimulator : public fabric::DataPlane {
   SimConfig cfg_;
   topo::PathRepository paths_;
   fabric::LinkStateBoard board_;
-  fabric::ControlPlaneAccountant accountant_;
   EventQueue events_;
   fabric::ControlAgent* agent_ = nullptr;
-  fabric::ControlPlaneModel* model_ = nullptr;
 
   std::vector<Flow> flows_;  // by FlowId (cold per-flow state)
   // Hot per-flow SoA lanes, by FlowId. `remaining_` is exact as of

@@ -37,10 +37,6 @@ void apply_partial_deployment(const ExperimentConfig& cfg,
   }
 }
 
-// Reconvergence plumbing shared by both substrates: the tracker samples
-// DARD's cumulative accepted-move counter, and the injector tells it when a
-// daemon restart fires so time-to-first-accepted-round and the churn window
-// measure from the right origin.
 // Attaches the span recorder (if any) to a substrate's DataPlane and binds
 // its span-id allocator into the run's cause-id space, so span, round and
 // move ids interleave in one ordered sequence.
@@ -59,6 +55,42 @@ void collect_spans(const obs::SpanRecorder* spans, ExperimentResult* result) {
   result->span_bytes = t.bytes;
 }
 
+// Copies the data plane's control ledger into the result: bytes, rates
+// over the generation window, and messages per category.
+void collect_control(const fabric::DataPlane& net,
+                     const ExperimentConfig& cfg, ExperimentResult* result) {
+  const fabric::ControlPlaneAccountant& ledger = net.accountant();
+  result->control_bytes = ledger.total_bytes();
+  result->control_peak_rate = ledger.peak_rate(cfg.workload.duration);
+  result->control_mean_rate = ledger.mean_rate(cfg.workload.duration);
+  for (std::size_t c = 0; c < fabric::kControlCategories; ++c)
+    result->control_messages[c] =
+        ledger.message_count(static_cast<fabric::ControlCategory>(c));
+}
+
+// A fault run's reductions: the tracker's recovery metrics, the injector's
+// counts, and the query exchanges and losses the ledger recorded (a lost
+// exchange sent its query and no reply).
+void collect_recovery(const faults::RecoveryTracker& tracker,
+                      const faults::FaultInjector& injector,
+                      const fabric::DataPlane& net,
+                      ExperimentResult* result) {
+  using fabric::ControlCategory;
+  const fabric::ControlPlaneAccountant& ledger = net.accountant();
+  faults::RecoveryMetrics& m = result->recovery;
+  m = tracker.finalize();
+  m.queries_attempted = ledger.message_count(ControlCategory::DardQuery);
+  m.queries_lost = m.queries_attempted -
+                   ledger.message_count(ControlCategory::DardReply);
+  m.agent_crashes = injector.agent_crashes();
+  m.agent_restarts = injector.agent_restarts();
+  result->faults_injected = injector.injected();
+}
+
+// Reconvergence plumbing shared by both substrates: the tracker samples
+// DARD's cumulative accepted-move counter, and the injector tells it when a
+// daemon restart fires so time-to-first-accepted-round and the churn window
+// measure from the right origin.
 void wire_agent_recovery(faults::FaultInjector* injector,
                          faults::RecoveryTracker* tracker,
                          fabric::ControlAgent* agent) {
@@ -211,7 +243,6 @@ ExperimentResult run_fluid(const topo::Topology& t,
           return bps;
         },
         cfg.faults, cfg.faults.plan.first_fault_time());
-    tracker->set_model(&injector->model());
     wire_agent_recovery(injector.get(), tracker.get(), agent.get());
     tracker->start();
   }
@@ -239,11 +270,7 @@ ExperimentResult run_fluid(const topo::Topology& t,
   }
   result.avg_transfer_time = transfer.mean();
   result.peak_elephants = sim.peak_active_elephants();
-  result.control_bytes = sim.accountant().total_bytes();
-  result.control_peak_rate =
-      sim.accountant().peak_rate(cfg.workload.duration);
-  result.control_mean_rate =
-      sim.accountant().mean_rate(cfg.workload.duration);
+  collect_control(sim, cfg, &result);
 
   if (const auto* dard = dynamic_cast<const core::DardAgent*>(agent.get()))
     result.reroutes = dard->total_moves();
@@ -252,12 +279,7 @@ ExperimentResult run_fluid(const topo::Topology& t,
     result.reroutes = hedera->total_reassignments();
   collect_spans(cfg.telemetry.spans, &result);
   if (auditor != nullptr) auditor->check_now();
-  if (tracker != nullptr) {
-    result.recovery = tracker->finalize();
-    result.recovery.agent_crashes = injector->agent_crashes();
-    result.recovery.agent_restarts = injector->agent_restarts();
-    result.faults_injected = injector->injected();
-  }
+  if (tracker != nullptr) collect_recovery(*tracker, *injector, sim, &result);
   if (sampler != nullptr) {
     // One final snapshot so the series covers the tail of the run.
     sampler->sample_now();
@@ -356,7 +378,6 @@ ExperimentResult run_packet(const topo::Topology& t,
           return bps;
         },
         cfg.faults, cfg.faults.plan.first_fault_time());
-    tracker->set_model(&injector->model());
     wire_agent_recovery(injector.get(), tracker.get(), agent.get());
     tracker->start();
   }
@@ -393,11 +414,7 @@ ExperimentResult run_packet(const topo::Topology& t,
         result.path_switch_counts.add(
             static_cast<double>(adapter->path_switches(id)));
     result.peak_elephants = adapter->peak_active_elephants();
-    result.control_bytes = adapter->accountant().total_bytes();
-    result.control_peak_rate =
-        adapter->accountant().peak_rate(cfg.workload.duration);
-    result.control_mean_rate =
-        adapter->accountant().mean_rate(cfg.workload.duration);
+    collect_control(*adapter, cfg, &result);
   }
   if (const auto* dard = dynamic_cast<const core::DardAgent*>(agent.get()))
     result.reroutes = dard->total_moves();
@@ -406,12 +423,8 @@ ExperimentResult run_packet(const topo::Topology& t,
     result.reroutes = hedera->total_reassignments();
   collect_spans(cfg.telemetry.spans, &result);
   if (auditor != nullptr) auditor->check_now();
-  if (tracker != nullptr) {
-    result.recovery = tracker->finalize();
-    result.recovery.agent_crashes = injector->agent_crashes();
-    result.recovery.agent_restarts = injector->agent_restarts();
-    result.faults_injected = injector->injected();
-  }
+  if (tracker != nullptr)
+    collect_recovery(*tracker, *injector, *adapter, &result);
   if (snapshots != nullptr) snapshots->emit_now();
   result.timings.collect_s = seconds_since(wall_collect);
   return result;

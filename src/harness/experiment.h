@@ -14,6 +14,7 @@
 //    retransmissions, drops, reordering.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -134,9 +135,12 @@ struct ExperimentResult {
   Cdf transfer_times;        // every flow
   Cdf path_switch_counts;    // elephants only (only they can switch)
   std::size_t peak_elephants = 0;
+  // The data plane's control ledger (fabric::ControlPlaneAccountant):
+  // bytes, rates, and messages by fabric::ControlCategory.
   Bytes control_bytes = 0;
   double control_peak_rate = 0;  // bytes/s over the generation window
   double control_mean_rate = 0;
+  std::array<std::uint64_t, fabric::kControlCategories> control_messages{};
   std::size_t reroutes = 0;  // accepted moves (DARD) / reassignments (Hedera)
 
   // Overhead-vs-goodput summary: payload bytes the workload delivered, and

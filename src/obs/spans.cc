@@ -135,10 +135,6 @@ void SpanRecorder::record_refresh(Seconds now, NodeId host, NodeId dst_tor,
   Monitor& m =
       monitors_[(static_cast<std::uint64_t>(host.value()) << 32) |
                 dst_tor.value()];
-  if (m.daemon == nullptr) m.daemon = &daemons_[host.value()];
-  DaemonSpans& d = *m.daemon;
-  d.host = host;
-  ++d.refreshes;
 
   // Aggregate before emitting: the Refresh span precedes its Query children
   // in the stream so a streaming auditor never sees a dangling parent.
@@ -215,11 +211,6 @@ void SpanRecorder::record_refresh(Seconds now, NodeId host, NodeId dst_tor,
   totals_.messages += 2ull * attempts - lost;
   totals_.bytes += bytes;
 
-  d.attempts += attempts;
-  d.timeouts += timeouts;
-  d.lost += lost;
-  d.bytes += bytes;
-
   m.head_id = refresh_id;
   m.head_start = now;
 }
@@ -227,10 +218,6 @@ void SpanRecorder::record_refresh(Seconds now, NodeId host, NodeId dst_tor,
 void SpanRecorder::record_decision(Seconds now, NodeId host,
                                    std::size_t evaluations, bool accepted,
                                    NodeId winner_dst_tor) {
-  DaemonSpans& d = daemons_[host.value()];
-  d.host = host;
-  ++d.decisions;
-
   // Parent to the refresh whose assembled state the decision consumed; the
   // duration is that state's age. Decisions with no accepted move (or
   // before any refresh) are roots.
@@ -265,15 +252,10 @@ void SpanRecorder::record_decision(Seconds now, NodeId host,
 
 void SpanRecorder::record_move(Seconds now, NodeId host, FlowId flow,
                                NodeId dst_tor, std::uint64_t round_id) {
-  DaemonSpans& d = daemons_[host.value()];
-  d.host = host;
-  ++d.moves;
-
   Seconds chain = 0;
   const auto head = monitors_.find(
       (static_cast<std::uint64_t>(host.value()) << 32) | dst_tor.value());
   if (head != monitors_.end()) chain = now - head->second.head_start;
-  d.chain_latency.record(chain);
 
   TraceEvent e;
   e.kind = TraceEventKind::Span;

@@ -22,8 +22,9 @@
 //     travel — yielding per-link control-byte utilization. A refresh only
 //     adds each exchange to its switch's tally; the tallies are routed when
 //     link_bytes() or write_link_csv() reads them;
-//   * keeps per-daemon tallies and a latency histogram of complete
-//     refresh→decision→move chains (simulated time).
+//   * keeps whole-run totals (SpanTotals), an account of the messages built
+//     from the exchanges alone, independent of the ControlPlaneAccountant
+//     that is the run's ledger, so each can check the other.
 //
 // Disabled discipline matches obs::Profiler: the recorder is a nullable
 // pointer on fabric::DataPlane, every instrumented site pays exactly one
@@ -33,7 +34,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <ostream>
 #include <unordered_map>
 #include <vector>
@@ -41,7 +41,6 @@
 #include "common/types.h"
 #include "common/units.h"
 #include "obs/observer.h"
-#include "obs/profiler.h"
 #include "topology/topology.h"
 
 namespace dard::obs {
@@ -80,21 +79,6 @@ struct SpanTotals {
   std::uint64_t bytes = 0;
 };
 
-// Per-daemon control-plane activity, including the latency histogram of
-// complete chains (first query of the monitor's refresh to the accepted
-// move, in simulated seconds).
-struct DaemonSpans {
-  NodeId host;
-  std::uint64_t refreshes = 0;
-  std::uint64_t decisions = 0;
-  std::uint64_t moves = 0;
-  std::uint64_t attempts = 0;
-  std::uint64_t timeouts = 0;
-  std::uint64_t lost = 0;
-  std::uint64_t bytes = 0;
-  LatencyHistogram chain_latency;
-};
-
 class SpanRecorder {
  public:
   // `observer` receives the Span events (may be null: accounting still
@@ -127,8 +111,8 @@ class SpanRecorder {
                        bool accepted, NodeId winner_dst_tor);
 
   // The accepted move being applied: parents to the winning dard_round's
-  // id and closes the chain — its duration (refresh start to move) feeds
-  // the daemon's chain-latency histogram.
+  // id and closes the chain; its duration is the chain's, from the
+  // monitor's last refresh to the move.
   void record_move(Seconds now, NodeId host, FlowId flow, NodeId dst_tor,
                    std::uint64_t round_id);
 
@@ -139,9 +123,6 @@ class SpanRecorder {
   // the switch at its far end. A switch the host cannot reach gets no
   // bytes.
   [[nodiscard]] std::vector<std::uint64_t> link_bytes() const;
-  [[nodiscard]] const std::map<std::uint32_t, DaemonSpans>& daemons() const {
-    return daemons_;
-  }
 
   // link,src,dst,control_bytes rows for every link that carried control
   // traffic — the artifact `dardscope spans` reads for its hotlink table.
@@ -167,14 +148,12 @@ class SpanRecorder {
   std::uint64_t fallback_id_ = 0;
 
   SpanTotals totals_;
-  std::map<std::uint32_t, DaemonSpans> daemons_;
 
   // One (host, dst_tor) monitor: the head of its chain (its last refresh
-  // span), its daemon's row, and what its exchanges sent to each switch.
+  // span) and what its exchanges sent to each switch.
   struct Monitor {
     std::uint64_t head_id = 0;
     Seconds head_start = 0;
-    DaemonSpans* daemon = nullptr;  // a daemons_ node, stable once made
     std::vector<PairTally> tallies;  // in order of first appearance
     // The tally of `sw`: at `i` when the refresh lists its switches in the
     // order they first appeared (a monitor's query set is fixed and

@@ -65,7 +65,6 @@ class AgentRouter : public PathSetRouter, public fabric::DataPlane {
   [[nodiscard]] const fabric::LinkStateBoard& link_state() const override {
     return board_;
   }
-  fabric::ControlPlaneAccountant& accountant() override { return accountant_; }
   // Fails the cable on the board (so the shared daemons observe it through
   // their queries) AND in the packet network (so packets crossing it drop).
   void set_cable_failed(NodeId a, NodeId b, bool failed) override;
@@ -73,10 +72,6 @@ class AgentRouter : public PathSetRouter, public fabric::DataPlane {
   // refcounts recounted from the active flows' current routes, and
   // board/network agreement on which links are failed. Read-only.
   void audit(fabric::Auditor& auditor) override;
-  void set_control_model(fabric::ControlPlaneModel* model) { model_ = model; }
-  [[nodiscard]] fabric::ControlPlaneModel* control_model() const override {
-    return model_;
-  }
   void move_flow(FlowId id, PathIndex new_path) override;
   void move_flows(
       const std::vector<std::pair<FlowId, PathIndex>>& moves) override;
@@ -110,7 +105,6 @@ class AgentRouter : public PathSetRouter, public fabric::DataPlane {
   fabric::ControlAgent* agent_;
   Seconds elephant_threshold_;
   fabric::LinkStateBoard board_;
-  fabric::ControlPlaneAccountant accountant_;
 
   std::vector<FlowId> active_;  // insertion order
   struct FinishedFlow {
@@ -125,7 +119,6 @@ class AgentRouter : public PathSetRouter, public fabric::DataPlane {
   obs::SimObserver* observer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Profiler* profiler_ = nullptr;
-  fabric::ControlPlaneModel* model_ = nullptr;
 };
 
 // AgentRouter with the full addressing stack: each candidate path is

@@ -21,6 +21,14 @@ TEST(Accountant, TotalsByCategory) {
   EXPECT_EQ(acc.total_bytes(ControlCategory::DardQuery), 48u);
   EXPECT_EQ(acc.total_bytes(ControlCategory::SchedulerUpdate), 0u);
   EXPECT_EQ(acc.message_count(), 3u);
+  // Messages are counted per category as bytes are, a batch as its count.
+  acc.record(2.5, 48, ControlCategory::DardQuery, 3);
+  EXPECT_EQ(acc.message_count(ControlCategory::DardQuery), 4u);
+  EXPECT_EQ(acc.message_count(ControlCategory::DardReply), 1u);
+  EXPECT_EQ(acc.message_count(ControlCategory::SchedulerReport), 1u);
+  EXPECT_EQ(acc.message_count(ControlCategory::SchedulerUpdate), 0u);
+  EXPECT_EQ(acc.message_count(), 6u);
+  EXPECT_EQ(acc.total_bytes(ControlCategory::DardQuery), 4 * 48u);
 }
 
 TEST(Accountant, RateSeriesBuckets) {
@@ -44,6 +52,7 @@ TEST(Accountant, Clear) {
   acc.clear();
   EXPECT_EQ(acc.total_bytes(), 0u);
   EXPECT_EQ(acc.message_count(), 0u);
+  EXPECT_EQ(acc.message_count(ControlCategory::DardQuery), 0u);
 }
 
 TEST(LinkStateBoardTest, CountsElephants) {
@@ -72,12 +81,22 @@ TEST(StateQuery, ReturnsAllEgressPortsAndAccounts) {
   ControlPlaneAccountant acc;
   const StateQueryService service(board, &acc);
 
+  // One exchange with a ToR: its reply carries every egress port's state,
+  // and the exchange charges one query and one reply.
   const NodeId tor = t.tors().front();
-  const auto states = service.query_switch(tor, 2.0);
-  EXPECT_EQ(states.size(), t.out_links(tor).size());
+  for (const LinkId l : t.out_links(tor)) {
+    const LinkState s = service.link_state(l);
+    EXPECT_EQ(s.link, l);
+    EXPECT_DOUBLE_EQ(s.bandwidth, t.link(l).capacity);
+    EXPECT_EQ(s.elephant_flows, 0u);
+  }
+  service.charge(2.0, 1, 1);
   EXPECT_EQ(acc.total_bytes(),
             kDardQueryBytes + kDardReplyBytes);
   EXPECT_EQ(acc.total_bytes(ControlCategory::DardQuery), kDardQueryBytes);
+  EXPECT_EQ(acc.message_count(ControlCategory::DardQuery), 1u);
+  EXPECT_EQ(acc.message_count(ControlCategory::DardReply), 1u);
+  EXPECT_EQ(acc.message_count(), 2u);
 }
 
 TEST(StateQuery, ReflectsBoardUpdates) {
@@ -88,12 +107,8 @@ TEST(StateQuery, ReflectsBoardUpdates) {
   const NodeId tor = t.tors().front();
   const LinkId up = t.out_links(tor).front();
   board.add_elephant(up);
-  for (const auto& s : service.query_switch(tor, 0.0)) {
-    if (s.link == up)
-      EXPECT_EQ(s.elephant_flows, 1u);
-    else
-      EXPECT_EQ(s.elephant_flows, 0u);
-  }
+  for (const LinkId l : t.out_links(tor))
+    EXPECT_EQ(service.link_state(l).elephant_flows, l == up ? 1u : 0u);
 }
 
 TEST(Controller, InstallsAllSwitchTables) {

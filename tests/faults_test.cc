@@ -316,8 +316,6 @@ TEST_F(InjectorTest, ControlWindowDrivesTheDegradationModel) {
   EXPECT_FALSE(inj.model().attempt_lost());
   EXPECT_FALSE(inj.model().stale_active());
   EXPECT_EQ(inj.injected(), 2u);  // window start + end
-  EXPECT_EQ(inj.model().attempts(), 3u);
-  EXPECT_EQ(inj.model().lost(), 1u);
 }
 
 TEST_F(InjectorTest, UnknownPlanNodeAborts) {
@@ -334,15 +332,16 @@ TEST(ControlModelTest, LossDrawsComeFromItsOwnSeededRng) {
   b.set_degradation(0.5, 0.0);
   c.set_degradation(0.5, 0.0);
   bool differs = false;
+  int lost = 0;
   for (int i = 0; i < 64; ++i) {
     const bool la = a.attempt_lost();
     EXPECT_EQ(la, b.attempt_lost());  // same seed, same draws
     if (la != c.attempt_lost()) differs = true;
+    if (la) ++lost;
   }
   EXPECT_TRUE(differs);  // different seed, different stream
-  EXPECT_EQ(a.attempts(), 64u);
-  EXPECT_GT(a.lost(), 0u);
-  EXPECT_LT(a.lost(), 64u);
+  EXPECT_GT(lost, 0);
+  EXPECT_LT(lost, 64);
 }
 
 TEST(ControlModelTest, StaleSnapshotFreezesBoardState) {
@@ -398,8 +397,8 @@ TEST(ControlModelTest, LostExchangesChargeQueryBytesButNoReply) {
             5 * fabric::kDardQueryBytes);
   EXPECT_EQ(accountant.total_bytes(fabric::ControlCategory::DardReply), 0u);
   EXPECT_EQ(accountant.message_count(), 5u);
-  EXPECT_EQ(model.attempts(), 5u);
-  EXPECT_EQ(model.lost(), 5u);
+  EXPECT_EQ(accountant.message_count(fabric::ControlCategory::DardQuery), 5u);
+  EXPECT_EQ(accountant.message_count(fabric::ControlCategory::DardReply), 0u);
 
   model.clear_degradation();
   const fabric::QueryAttempt qa = service.attempt_query();

@@ -122,13 +122,13 @@ void expect_same_state(const Pair& p, Seconds horizon, bool read_paths) {
   for (const auto c :
        {fabric::ControlCategory::DardQuery, fabric::ControlCategory::DardReply,
         fabric::ControlCategory::SchedulerReport,
-        fabric::ControlCategory::SchedulerUpdate})
+        fabric::ControlCategory::SchedulerUpdate}) {
     EXPECT_EQ(fa.total_bytes(c), sa.total_bytes(c));
+    EXPECT_EQ(fa.message_count(c), sa.message_count(c));
+  }
   EXPECT_EQ(fa.message_count(), sa.message_count());
   EXPECT_EQ(fa.rate_series(horizon), sa.rate_series(horizon));
   EXPECT_EQ(p.fast.messages.value, p.slow.messages.value);
-  EXPECT_EQ(p.fast.model.attempts(), p.slow.model.attempts());
-  EXPECT_EQ(p.fast.model.lost(), p.slow.model.lost());
 }
 
 void expect_same_refresh(Pair& p, Seconds now, const DardConfig& cfg) {

@@ -1,8 +1,9 @@
 // Control-plane span tracing (DESIGN.md §17): the SpanRecorder's emitted
 // spans must audit clean, its byte accounting must agree exactly with
 // fabric::ControlPlaneAccountant and the modeled wire sizes, a disabled
-// recorder must leave the run untouched, and the daemon-side query tallies
-// must match the mirrored metrics counters on both substrates.
+// recorder must leave the run untouched, and under faults the ledger, the
+// recovery counts, the metrics counters and the span books must agree on
+// both substrates.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,15 +15,12 @@
 #include <string>
 #include <vector>
 
-#include "dard/dard_agent.h"
 #include "fabric/wire.h"
-#include "flowsim/simulator.h"
+#include "faults/fault_plan.h"
 #include "harness/experiment.h"
 #include "obs/metrics.h"
 #include "obs/spans.h"
 #include "obs/trace.h"
-#include "pktsim/agent_router.h"
-#include "pktsim/session.h"
 #include "scope/analysis.h"
 #include "scope/report.h"
 #include "scope/run_loader.h"
@@ -219,78 +217,60 @@ TEST(SpanTest, DisabledRecorderLeavesResultsIdentical) {
   EXPECT_GT(on.result.span_count, 0u);
 }
 
-TEST(SpanTest, FluidMetricsMatchDaemonTallies) {
-  // Cross-check the mirrored metrics counters against the daemon-side
-  // aggregates the agent keeps — the two tallies take different paths
-  // (counter mirror at refresh vs. per-daemon sums at read) and must agree.
-  const topo::Topology t = testbed();
-  obs::MetricsRegistry metrics;
-  flowsim::SimConfig sim_cfg;
-  sim_cfg.elephant_threshold = 0.1;
-  flowsim::FlowSimulator sim(t, sim_cfg);
-  sim.set_metrics(&metrics);
-  core::DardConfig cfg;
-  cfg.query_interval = 0.1;
-  cfg.schedule_base = 0.25;
-  cfg.schedule_jitter = 0.25;
-  cfg.delta = 1 * kMbps;
-  core::DardAgent agent(cfg);
-  sim.set_agent(&agent);
-  const auto& hosts = t.hosts();
-  for (int i = 0; i < 4; ++i) {
-    flowsim::FlowSpec s;
-    s.src_host = hosts[i];
-    s.dst_host = hosts[12 + i];
-    s.size = 32 * kMiB;
-    s.arrival = 0.0;
-    s.src_port = static_cast<std::uint16_t>(i + 1);
-    s.dst_port = 5001;
-    sim.submit(s);
+TEST(SpanTest, LedgerMatchesEveryBookUnderFaults) {
+  // One control ledger (DESIGN.md §17): the data plane's accountant. Under
+  // a lossy, stale control plane (chaos) and under daemon crashes and a
+  // host outage (agent-churn), on both substrates, the recovery counts, the
+  // metrics counters and the span books must agree with it exactly. At
+  // 100 Mbps the 32 MiB flows outlive every preset event.
+  const topo::Topology t = topo::build_fat_tree(
+      {.p = 4, .hosts_per_tor = -1, .link_capacity = 100 * kMbps,
+       .link_delay = 0.0001});
+  for (const Substrate s : {Substrate::Fluid, Substrate::Packet}) {
+    for (const char* preset : {"chaos", "agent-churn"}) {
+      const std::string cell =
+          std::string(harness::to_string(s)) + " " + preset;
+      obs::MetricsRegistry metrics;
+      obs::SpanRecorder spans(nullptr, &t, fabric::kDardQueryBytes,
+                              fabric::kDardReplyBytes);
+      ExperimentConfig cfg = stride_config(s);
+      cfg.telemetry.metrics = &metrics;
+      cfg.telemetry.spans = &spans;
+      cfg.faults.plan = *faults::FaultPlan::preset(preset);
+      const ExperimentResult r = run_experiment(t, cfg);
+
+      const auto messages = [&r](fabric::ControlCategory c) {
+        return r.control_messages[static_cast<std::size_t>(c)];
+      };
+      const std::uint64_t queries =
+          messages(fabric::ControlCategory::DardQuery);
+      const std::uint64_t replies =
+          messages(fabric::ControlCategory::DardReply);
+      const auto counter = [&metrics](const char* name) {
+        return static_cast<std::uint64_t>(metrics.counters().at(name).value);
+      };
+      ASSERT_GT(queries, 0u) << cell;
+      EXPECT_GT(r.faults_injected, 0u) << cell;
+      if (std::string(preset) == "chaos") {
+        EXPECT_GT(queries, replies) << cell << ": no exchange was lost";
+      } else {
+        EXPECT_EQ(r.recovery.agent_crashes, 3u) << cell;
+      }
+
+      EXPECT_EQ(r.recovery.queries_attempted, queries) << cell;
+      EXPECT_EQ(r.recovery.queries_lost, queries - replies) << cell;
+      std::uint64_t all_messages = 0;
+      for (const std::uint64_t n : r.control_messages) all_messages += n;
+      EXPECT_EQ(counter("dard.control_msgs"), all_messages) << cell;
+      EXPECT_EQ(counter("dard.monitor_queries"), queries) << cell;
+      EXPECT_EQ(r.control_bytes, fabric::kDardQueryBytes * queries +
+                                     fabric::kDardReplyBytes * replies)
+          << cell;
+      EXPECT_EQ(spans.totals().bytes, r.control_bytes) << cell;
+      EXPECT_EQ(spans.totals().attempts, queries) << cell;
+      EXPECT_EQ(spans.totals().lost, queries - replies) << cell;
+    }
   }
-  sim.run_until_flows_done();
-
-  ASSERT_GT(agent.total_query_attempts(), 0u);
-  const auto counter = [&](const char* name) -> std::uint64_t {
-    const auto it = metrics.counters().find(name);
-    return it == metrics.counters().end()
-               ? 0
-               : static_cast<std::uint64_t>(it->second.value);
-  };
-  EXPECT_EQ(counter("dard.query_timeouts"), agent.total_query_timeouts());
-  EXPECT_EQ(counter("dard.query_retries"), agent.total_query_retries());
-  EXPECT_EQ(counter("dard.control_msgs"),
-            2 * agent.total_query_attempts() - agent.total_query_lost());
-}
-
-TEST(SpanTest, PacketMetricsMatchDaemonTallies) {
-  const topo::Topology t = testbed();
-  obs::MetricsRegistry metrics;
-  core::DardConfig cfg;
-  cfg.query_interval = 0.1;
-  cfg.schedule_base = 0.25;
-  cfg.schedule_jitter = 0.25;
-  cfg.delta = 1 * kMbps;
-  core::DardAgent agent(cfg);
-  auto router = std::make_unique<pktsim::AgentRouter>(
-      t, agent, /*elephant_threshold=*/0.1);
-  router->set_metrics(&metrics);
-  pktsim::PktSession session(t, std::move(router));
-  const auto& hosts = t.hosts();
-  for (int i = 0; i < 4; ++i)
-    session.add_flow({hosts[i], hosts[12 + i], 32 * kMiB, 0.0});
-  ASSERT_TRUE(session.run(300.0));
-
-  ASSERT_GT(agent.total_query_attempts(), 0u);
-  const auto counter = [&](const char* name) -> std::uint64_t {
-    const auto it = metrics.counters().find(name);
-    return it == metrics.counters().end()
-               ? 0
-               : static_cast<std::uint64_t>(it->second.value);
-  };
-  EXPECT_EQ(counter("dard.query_timeouts"), agent.total_query_timeouts());
-  EXPECT_EQ(counter("dard.query_retries"), agent.total_query_retries());
-  EXPECT_EQ(counter("dard.control_msgs"),
-            2 * agent.total_query_attempts() - agent.total_query_lost());
 }
 
 TEST(SpanTest, SpanEventsRoundTripThroughJsonl) {
